@@ -1,19 +1,19 @@
-// The push-capable delivery surface of the pub/sub runtime (DESIGN.md
-// §13): how a standing subscription's solutions leave the service without
-// the consumer polling.
+// The delivery surface of the pub/sub runtime (DESIGN.md §13): how a
+// standing subscription's solutions leave the service.
 //
-// Two delivery modes, one Subscribe call:
+// There is one delivery path: the owning shard hands each solution to the
+// subscription's MatchSink as soon as it is proven. The delivery mode only
+// chooses the sink:
 //
-//   * kPull — the service buffers deliveries in an internal thread-safe
-//     queue; the consumer collects them with Drain(id) at its own pace.
-//     This is the original (and default) mode; nothing about it changed.
-//   * kPush — the service hands each delivery to a caller-provided
-//     MatchSink as soon as the owning shard emits it. Nothing is buffered
+//   * kPush — a caller-provided MatchSink. Nothing is buffered
 //     service-side and nobody polls: with 100k subscriptions on the other
 //     side of a socket, the server would otherwise spend its life draining
 //     99.9% empty queues.
+//   * kPull (the default) — a MatchSink built into the service that
+//     buffers every delivery until the consumer collects them with
+//     Drain(id) at its own pace.
 //
-// The push contract is deliberately narrow, because OnMatch runs on a
+// The sink contract is deliberately narrow, because OnMatch runs on a
 // shard thread in the middle of the match hot path:
 //
 //   * OnMatch must be fast and must NEVER block (no socket writes, no
@@ -34,9 +34,12 @@
 //     different shard threads; the sink synchronizes its own state.
 //   * The service holds a shared_ptr to the sink until the subscription's
 //     unsubscribe (or service stop) has been applied by the owning shard,
-//     so a sink is never destroyed under a running machine. After
-//     Unsubscribe(id) returns, no further OnMatch for that id will START,
-//     but a call already in flight may still complete.
+//     so a sink is never destroyed under a running machine. That
+//     unsubscribe applies at its epoch boundary (DESIGN.md §5), not when
+//     Unsubscribe(id) returns: every document published before the call
+//     is still delivered, so OnMatch calls for such documents may start
+//     after Unsubscribe returns. No document published after it returns
+//     reaches the sink.
 
 #ifndef VITEX_SERVICE_MATCH_SINK_H_
 #define VITEX_SERVICE_MATCH_SINK_H_
@@ -58,8 +61,8 @@ struct Delivery {
   uint64_t sequence = 0;
 };
 
-/// Consumer-side receiver for push-mode subscriptions. See the header
-/// comment for the full threading and overflow contract.
+/// Receiver of a subscription's deliveries. See the header comment for the
+/// full threading and overflow contract.
 class MatchSink {
  public:
   virtual ~MatchSink() = default;
@@ -77,8 +80,8 @@ class MatchSink {
 };
 
 enum class DeliveryMode : uint8_t {
-  kPull = 0,  ///< buffer internally; consumer calls Drain(id)
-  kPush = 1,  ///< deliver into a MatchSink; Drain(id) is an error
+  kPull = 0,  ///< built-in buffering sink; consumer calls Drain(id)
+  kPush = 1,  ///< caller's MatchSink; Drain(id) is an error
 };
 
 /// Per-subscription delivery configuration for

@@ -20,48 +20,56 @@ namespace vitex::service {
 // Internal types.
 // ---------------------------------------------------------------------------
 
-// Per-subscriber delivery adapter between the shard's machine and the
-// caller-facing delivery mode (match_sink.h). Pull mode: a thread-safe
-// result queue the subscriber drains on any thread. Push mode: each result
-// is forwarded to the caller's MatchSink right here on the shard thread —
-// nothing buffers service-side, and a refused delivery is dropped, counted
-// and reported through OnOverflow.
+// Per-subscriber delivery adapter between the shard's machines and the
+// subscriber's MatchSink (match_sink.h): each result is forwarded right
+// here on the shard thread, and a refused delivery is dropped, counted and
+// reported through OnOverflow. Pull-mode subscriptions reach this path too,
+// through a DrainBuffer sink.
 class StreamService::SubscriberSink : public twigm::ResultHandler {
  public:
-  SubscriberSink(SubscriptionId id, std::shared_ptr<MatchSink> push_sink,
+  SubscriberSink(SubscriptionId id, std::shared_ptr<MatchSink> sink,
                  std::atomic<uint64_t>* delivered,
                  std::atomic<uint64_t>* overflowed)
       : id_(id),
-        push_sink_(std::move(push_sink)),
+        sink_(std::move(sink)),
         delivered_(delivered),
         overflowed_(overflowed) {}
 
   void OnResult(std::string_view fragment, uint64_t sequence) override {
-    if (push_sink_ != nullptr) {
-      // Push path, shard thread. OnMatch refusing (false) is the sink's
-      // bounded-buffer signal: the delivery is dropped, not retried —
-      // backpressure toward a slow consumer must never stall the shard
-      // (every other subscription on it would pay).
-      Delivery delivery{std::string(fragment), sequence};
-      if (push_sink_->OnMatch(id_, delivery)) {
-        delivered_->fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // dropped_ needs no lock: OnResult calls for one subscription are
-        // serialized on its owning shard's thread (match_sink.h).
-        ++dropped_;
-        overflowed_->fetch_add(1, std::memory_order_relaxed);
-        push_sink_->OnOverflow(id_, dropped_);
-      }
-      return;
+    // OnMatch refusing (false) is the sink's bounded-buffer signal: the
+    // delivery is dropped, not retried — backpressure toward a slow
+    // consumer must never stall the shard (every other subscription on it
+    // would pay).
+    Delivery delivery{std::string(fragment), sequence};
+    if (sink_->OnMatch(id_, delivery)) {
+      delivered_->fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // dropped_ needs no lock: OnResult calls for one subscription are
+      // serialized on its owning shard's thread (match_sink.h).
+      ++dropped_;
+      overflowed_->fetch_add(1, std::memory_order_relaxed);
+      sink_->OnOverflow(id_, dropped_);
     }
-    {
-      MutexLock lock(mu_);
-      pending_.push_back(Delivery{std::string(fragment), sequence});
-    }
-    delivered_->fetch_add(1, std::memory_order_relaxed);
   }
 
-  bool is_push() const { return push_sink_ != nullptr; }
+ private:
+  const SubscriptionId id_;
+  const std::shared_ptr<MatchSink> sink_;
+  std::atomic<uint64_t>* delivered_;
+  std::atomic<uint64_t>* overflowed_;
+  uint64_t dropped_ = 0;  // shard-thread only (see OnResult)
+};
+
+// The pull-mode MatchSink: buffers every delivery (it never refuses) until
+// the subscriber collects them with Drain(id), on any thread.
+class StreamService::DrainBuffer : public MatchSink {
+ public:
+  bool OnMatch(SubscriptionId, const Delivery& delivery) override {
+    MutexLock lock(mu_);
+    pending_.push_back(delivery);
+    return true;
+  }
+  void OnOverflow(SubscriptionId, uint64_t) override {}
 
   std::vector<Delivery> Drain() {
     std::vector<Delivery> out;
@@ -76,13 +84,8 @@ class StreamService::SubscriberSink : public twigm::ResultHandler {
   }
 
  private:
-  const SubscriptionId id_;
-  const std::shared_ptr<MatchSink> push_sink_;  // null == pull mode
   Mutex mu_;
   std::vector<Delivery> pending_ GUARDED_BY(mu_);
-  std::atomic<uint64_t>* delivered_;
-  std::atomic<uint64_t>* overflowed_;
-  uint64_t dropped_ = 0;  // shard-thread only (see OnResult)
 };
 
 // Barrier token for Flush(): every shard decrements once it has processed
@@ -100,10 +103,10 @@ struct StreamService::FlushGate {
 struct StreamService::ControlOp {
   enum class Kind { kSubscribe, kUnsubscribe, kFlush };
   Kind kind = Kind::kFlush;
-  SubscriptionId subscription = 0;               // kSubscribe / kUnsubscribe
-  std::unique_ptr<twigm::BuiltMachine> machine;  // kSubscribe
-  std::shared_ptr<SubscriberSink> sink;          // kSubscribe
-  std::shared_ptr<FlushGate> gate;               // kFlush
+  SubscriptionId subscription = 0;           // kSubscribe / kUnsubscribe
+  std::vector<twigm::BuiltMachine> machines;  // kSubscribe: one per branch
+  std::shared_ptr<SubscriberSink> sink;       // kSubscribe
+  std::shared_ptr<FlushGate> gate;            // kFlush
 };
 
 // Stage-tracing context shared by one document's N shard replays: the
@@ -332,6 +335,15 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
     return Status::InvalidArgument(
         "pull-mode subscription must not carry a MatchSink");
   }
+  // Parse and compile touch no shared state, so they run before any lock;
+  // a union compiles to one query per branch.
+  VITEX_ASSIGN_OR_RETURN(std::vector<xpath::Query> branches,
+                         xpath::ParseAndCompileUnion(xpath));
+  std::shared_ptr<DrainBuffer> buffer;
+  if (options.mode == DeliveryMode::kPull) {
+    buffer = std::make_shared<DrainBuffer>();
+    options.sink = buffer;
+  }
   MutexLock control_lock(control_mu_);
   {
     MutexLock lock(mu_);
@@ -339,34 +351,40 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
   }
   SubscriptionId id =
       next_subscription_.fetch_add(1, std::memory_order_relaxed);
-  auto sink = std::make_shared<SubscriberSink>(
-      id, std::move(options.sink), &results_delivered_, &results_overflowed_);
-  // Compile on this thread, under exclusive table access: parser streams
-  // hold symbols_.mu() shared for the duration of a parse, so the writer
-  // lock quiesces them for the (rare, O(|Q|)) moment interning happens.
-  // A plain scoped block, not a lambda: the thread safety analysis checks
-  // the Unfreeze/Freeze capability requirements right here, where the
-  // lock is visibly held (DESIGN.md §11).
-  std::optional<Result<twigm::BuiltMachine>> built;
-  {
-    WriterMutexLock symbols_lock(symbols_.mu());
-    symbols_.Unfreeze();
-    built.emplace(twigm::TwigMBuilder::Build(
-        xpath, sink.get(), options_.machine_options, &symbols_));
-    symbols_.Freeze();
-  }
-  VITEX_RETURN_IF_ERROR(built->status());
-
-  {
-    MutexLock lock(mu_);
-    subscriptions_[id] = sink;
-  }
   auto op = std::make_shared<ControlOp>();
   op->kind = ControlOp::Kind::kSubscribe;
   op->subscription = id;
-  op->machine =
-      std::make_unique<twigm::BuiltMachine>(std::move(*built).value());
-  op->sink = std::move(sink);
+  op->sink = std::make_shared<SubscriberSink>(
+      id, std::move(options.sink), &results_delivered_, &results_overflowed_);
+  op->machines.reserve(branches.size());
+  // Build the branch machines on this thread, under exclusive table
+  // access: parser streams hold symbols_.mu() shared for the duration of a
+  // parse, so the writer lock quiesces them for the (rare, O(|Q|)) moment
+  // interning happens. A plain scoped block, not a lambda: the thread
+  // safety analysis checks the Unfreeze/Freeze capability requirements
+  // right here, where the lock is visibly held (DESIGN.md §11).
+  Status built;
+  {
+    WriterMutexLock symbols_lock(symbols_.mu());
+    symbols_.Unfreeze();
+    for (xpath::Query& branch : branches) {
+      Result<twigm::BuiltMachine> machine = twigm::TwigMBuilder::Build(
+          std::make_unique<xpath::Query>(std::move(branch)), op->sink.get(),
+          options_.machine_options, &symbols_);
+      if (!machine.ok()) {
+        built = machine.status();
+        break;
+      }
+      op->machines.push_back(std::move(machine).value());
+    }
+    symbols_.Freeze();
+  }
+  VITEX_RETURN_IF_ERROR(built);
+
+  {
+    MutexLock lock(mu_);
+    subscriptions_[id] = std::move(buffer);
+  }
   if (!EmitControl(std::move(op))) {
     MutexLock lock(mu_);
     subscriptions_.erase(id);
@@ -395,20 +413,20 @@ Status StreamService::Unsubscribe(SubscriptionId id) {
 }
 
 Result<std::vector<Delivery>> StreamService::Drain(SubscriptionId id) {
-  std::shared_ptr<SubscriberSink> sink;
+  std::shared_ptr<DrainBuffer> buffer;
   {
     MutexLock lock(mu_);
     auto it = subscriptions_.find(id);
     if (it == subscriptions_.end()) {
       return Status::InvalidArgument("unknown subscription id");
     }
-    sink = it->second;
+    buffer = it->second;
   }
-  if (sink->is_push()) {
+  if (buffer == nullptr) {
     return Status::InvalidArgument(
         "subscription is push-mode; deliveries go to its MatchSink");
   }
-  return sink->Drain();
+  return buffer->Drain();
 }
 
 Status StreamService::Publish(std::string document) {
@@ -769,7 +787,7 @@ void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
   switch (op->kind) {
     case ControlOp::Kind::kSubscribe: {
       if (shard->failed) break;
-      Result<twigm::QueryId> qid = engine.AddBuilt(std::move(*op->machine));
+      Result<twigm::QueryId> qid = engine.AddBuilt(std::move(op->machines));
       if (!qid.ok()) {
         RecordError(qid.status());
         break;

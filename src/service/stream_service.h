@@ -39,8 +39,10 @@
 //     argument.
 //   * Every queue is bounded: a slow shard backpressures the parser
 //     streams, which backpressure Publish. Nothing buffers unboundedly.
-//   * Results are delivered into a per-subscriber thread-safe sink; the
-//     caller collects them with Drain(id) at its own pace.
+//   * Results leave through one path: the shard thread hands each one to
+//     its subscription's MatchSink (match_sink.h). A pull-mode
+//     subscription's sink is a built-in buffer that Drain(id) empties at
+//     the caller's pace.
 
 #ifndef VITEX_SERVICE_STREAM_SERVICE_H_
 #define VITEX_SERVICE_STREAM_SERVICE_H_
@@ -168,8 +170,10 @@ class StreamService {
   Result<SubscriptionId> Subscribe(std::string_view xpath);
 
   /// Registers a standing subscription with an explicit delivery mode
-  /// (match_sink.h). The query compiles synchronously on this thread — the
-  /// one place the shared SymbolTable is unfrozen, so the call briefly
+  /// (match_sink.h). `xpath` is a path or a union `p1 | p2 | ...`; a union
+  /// delivers each selected node once per document. The query compiles
+  /// synchronously on this thread — building its machines is the one
+  /// place the shared SymbolTable is unfrozen, so the call briefly
   /// quiesces the parser streams — and installs in its shard at this
   /// call's epoch boundary. The subscription receives results for every
   /// document published after this call returns, and none published
@@ -180,9 +184,11 @@ class StreamService {
                                    SinkOptions options);
 
   /// Ends a subscription at this call's epoch boundary; undrained results
-  /// are discarded and the id becomes invalid immediately. A push-mode
-  /// subscription's sink may still receive an already-in-flight OnMatch,
-  /// but none will start after this returns (match_sink.h).
+  /// are discarded and the id becomes invalid immediately. The boundary is
+  /// the epoch rule, not the return: every document published before this
+  /// call is still delivered — to a push-mode sink possibly after this
+  /// returns, since those documents may still be in the pipeline — and
+  /// none published after it returns (match_sink.h).
   Status Unsubscribe(SubscriptionId id);
 
   /// Collects a pull-mode subscription's pending results (thread-safe;
@@ -231,6 +237,7 @@ class StreamService {
 
  private:
   class SubscriberSink;
+  class DrainBuffer;
   struct FlushGate;
   struct ControlOp;
   struct StreamItem;
@@ -275,10 +282,12 @@ class StreamService {
   // explicit Stop) wait for the joins instead of returning early.
   Mutex stop_mu_;
   mutable Mutex mu_;
-  // Live subscriptions' sinks (routing is recomputed from the id by
-  // ShardOf). The owning shard holds a second shared_ptr until it applies
-  // the unsubscribe, so a sink is never destroyed under a running machine.
-  std::unordered_map<SubscriptionId, std::shared_ptr<SubscriberSink>>
+  // Live subscriptions, each mapped to the buffer Drain(id) empties (null
+  // for push mode). Routing is recomputed from the id by ShardOf; the
+  // owning shard holds the subscription's SubscriberSink (and through it
+  // the MatchSink) until it applies the unsubscribe, so a sink is never
+  // destroyed under a running machine.
+  std::unordered_map<SubscriptionId, std::shared_ptr<DrainBuffer>>
       subscriptions_ GUARDED_BY(mu_);
   Status first_error_ GUARDED_BY(mu_);
   bool stopped_ GUARDED_BY(mu_) = false;

@@ -124,9 +124,11 @@ class Service {
   explicit Service(ServiceOptions options = {}) : impl_(std::move(options)) {}
 
   /// Registers a pull-mode standing subscription: deliveries buffer
-  /// internally until the handle's Drain(). The subscription sees every
-  /// document published after this call returns and none published before
-  /// it was called (epoch-exact; DESIGN.md §9).
+  /// internally until the handle's Drain(). `xpath` is a path or a union
+  /// `p1 | p2 | ...`, which delivers each selected node once per document.
+  /// The subscription sees every document published after this call
+  /// returns and none published before it was called (epoch-exact;
+  /// DESIGN.md §9).
   Result<Subscription> Subscribe(std::string_view xpath) {
     return Subscribe(xpath, SinkOptions{});
   }

@@ -29,10 +29,63 @@ void MultiQueryEngine::GroupFanout::OnGroupResult(std::string_view fragment,
   while (group_mask != 0) {
     int g = __builtin_ctzll(group_mask);
     group_mask &= group_mask - 1;
-    for (QueryId member : plan_->group_members[static_cast<size_t>(g)]) {
-      ResultHandler* handler = owner_->subs_[member]->handler;
+    for (const Member& member :
+         plan_->group_members[static_cast<size_t>(g)]) {
+      ResultHandler* handler = owner_->subs_[member.id]->handler;
       if (handler != nullptr) handler->OnResult(fragment, sequence);
     }
+  }
+}
+
+void MultiQueryEngine::UnionDedup::OnResult(std::string_view fragment,
+                                            uint64_t sequence) {
+  if (Insert(sequence) && out_ != nullptr) out_->OnResult(fragment, sequence);
+}
+
+namespace {
+
+// splitmix64 finalizer: sequence keys are near-consecutive integers, so
+// they need real mixing before masking into a power-of-two table.
+uint64_t MixSequence(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+bool MultiQueryEngine::UnionDedup::Insert(uint64_t key) {
+  if (generation_ != *doc_gen_) {
+    // First delivery of a new document: every slot is now stale.
+    generation_ = *doc_gen_;
+    size_ = 0;
+  }
+  if (slots_.size() < 2 * (size_ + 1)) Grow();  // load factor <= 1/2
+  size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(MixSequence(key)) & mask;
+  while (true) {
+    SeenSlot& slot = slots_[i];
+    if (slot.generation != generation_) {  // empty or stale: claim it
+      slot.key = key;
+      slot.generation = generation_;
+      ++size_;
+      return true;
+    }
+    if (slot.key == key) return false;
+    i = (i + 1) & mask;
+  }
+}
+
+void MultiQueryEngine::UnionDedup::Grow() {
+  std::vector<SeenSlot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : old.size() * 2, SeenSlot{});
+  size_t mask = slots_.size() - 1;
+  for (const SeenSlot& slot : old) {
+    if (slot.generation != generation_) continue;  // stale: drop
+    size_t i = static_cast<size_t>(MixSequence(slot.key)) & mask;
+    while (slots_[i].generation == generation_) i = (i + 1) & mask;
+    slots_[i] = slot;
   }
 }
 
@@ -92,30 +145,56 @@ void MultiQueryEngine::DestroyInstance(uint32_t index) {
   free_instances_.push_back(index);
 }
 
-Result<QueryId> MultiQueryEngine::AddDedicated(
-    std::unique_ptr<BuiltMachine> built) {
-  auto instance = std::make_unique<PlanInstance>();
-  instance->built = std::move(built);
-  instance->shared = false;
-  instance->group_params.push_back({});
-  instance->group_members.push_back({});
-  instance->subscriber_count = 1;
-  uint32_t index = AllocateInstance(std::move(instance));
-
+QueryId MultiQueryEngine::NewSubscription(ResultHandler* handler,
+                                          size_t branch_count) {
   auto sub = std::make_unique<Subscription>();
-  sub->instance = index;
-  sub->group = 0;
-  sub->handler = instances_[index]->built->machine().results();
-  QueryId id = AllocateSubscription(std::move(sub));
-  instances_[index]->group_members[0].push_back(id);
-  ++plan_misses_;
-  dispatcher_.InvalidateIndex();
-  return id;
+  sub->handler = handler;
+  if (branch_count > 1) {
+    sub->dedup =
+        std::make_unique<UnionDedup>(handler, dispatcher_.doc_generation());
+    sub->handler = sub->dedup.get();
+  }
+  sub->branches.reserve(branch_count);
+  return AllocateSubscription(std::move(sub));
 }
 
-Result<QueryId> MultiQueryEngine::Register(
-    std::unique_ptr<xpath::Query> query, ResultHandler* handler,
-    TwigMachine::Options options, std::unique_ptr<BuiltMachine> built) {
+void MultiQueryEngine::AttachBranch(QueryId id, uint32_t instance,
+                                    uint32_t group,
+                                    std::unique_ptr<xpath::Query> query) {
+  Subscription& sub = *subs_[id];
+  PlanInstance& plan = *instances_[instance];
+  plan.group_members[group].push_back(
+      Member{id, static_cast<uint32_t>(sub.branches.size())});
+  ++plan.subscriber_count;
+  sub.branches.push_back(Branch{instance, group, std::move(query)});
+  dispatcher_.InvalidateIndex();
+}
+
+Status MultiQueryEngine::AddBranch(QueryId id,
+                                   std::unique_ptr<xpath::Query> query,
+                                   TwigMachine::Options options,
+                                   std::unique_ptr<BuiltMachine> built) {
+  ResultHandler* handler = subs_[id]->handler;
+  if (!options_.share_plans) {
+    // A private machine delivers straight to the subscription's handler;
+    // a pre-built union branch is rebuilt around the dedup (its compiled
+    // query is kept, nothing is reparsed).
+    if (built == nullptr || built->machine().results() != handler) {
+      if (built != nullptr) query = std::move(*built).TakeQuery();
+      VITEX_ASSIGN_OR_RETURN(
+          BuiltMachine fresh,
+          TwigMBuilder::Build(std::move(query), handler, options, symbols_));
+      built = std::make_unique<BuiltMachine>(std::move(fresh));
+    }
+    auto instance = std::make_unique<PlanInstance>();
+    instance->built = std::move(built);
+    instance->group_params.push_back({});
+    instance->group_members.push_back({});
+    AttachBranch(id, AllocateInstance(std::move(instance)), 0, nullptr);
+    ++plan_misses_;
+    return Status::OK();
+  }
+
   // Cache identity: the structural skeleton plus every machine option that
   // changes execution (subscriptions with different memory ceilings must
   // not share a machine).
@@ -145,16 +224,6 @@ Result<QueryId> MultiQueryEngine::Register(
       }
       bool new_group = group == instance->group_params.size();
       if (new_group && group >= 64) continue;  // instance full, try next
-      auto sub = std::make_unique<Subscription>();
-      sub->instance = index;
-      sub->group = static_cast<uint32_t>(group);
-      sub->handler = handler;
-      // The subscription's own query record: the one compiled for it, or —
-      // for a pre-built machine being discarded in favor of this instance —
-      // the query taken out of that machine (no recompilation).
-      sub->query = query != nullptr ? std::move(query)
-                                    : std::move(*built).TakeQuery();
-      QueryId id = AllocateSubscription(std::move(sub));
       if (new_group) {
         instance->group_params.push_back(std::move(canon.params));
         instance->group_members.push_back({});
@@ -162,17 +231,20 @@ Result<QueryId> MultiQueryEngine::Register(
         assert(rebound.ok());
         (void)rebound;
       }
-      instance->group_members[group].push_back(id);
-      ++instance->subscriber_count;
+      // The branch's own query record: the one compiled for it, or — for
+      // a pre-built machine being discarded in favor of this instance —
+      // the query taken out of that machine (no recompilation).
+      AttachBranch(id, index, static_cast<uint32_t>(group),
+                   query != nullptr ? std::move(query)
+                                    : std::move(*built).TakeQuery());
       ++plan_hits_;
-      dispatcher_.InvalidateIndex();
-      return id;
+      return Status::OK();
     }
   }
 
-  // First subscription of this skeleton (or all instances full): compile a
+  // First member of this skeleton (or all instances full): compile a
   // fresh plan instance. An AddBuilt machine is adopted as the skeleton
-  // machine; an AddQuery subscription moves its Query into the new machine.
+  // machine; an AddQuery branch moves its Query into the new machine.
   if (built == nullptr) {
     VITEX_ASSIGN_OR_RETURN(
         BuiltMachine fresh,
@@ -188,22 +260,13 @@ Result<QueryId> MultiQueryEngine::Register(
   instance->bindings.slot_count = canon.params.size();
   instance->group_params.push_back(std::move(canon.params));
   instance->group_members.push_back({});
-  instance->subscriber_count = 1;
   instance->sink = std::make_unique<GroupFanout>(this, instance.get());
   VITEX_RETURN_IF_ERROR(RebindInstance(instance.get()));
   uint32_t index = AllocateInstance(std::move(instance));
   plan_index_[plan_hash].push_back(index);
-
-  auto sub = std::make_unique<Subscription>();
-  sub->instance = index;
-  sub->group = 0;
-  sub->handler = handler;
-  sub->query = std::move(query);  // null when moved into the machine above
-  QueryId id = AllocateSubscription(std::move(sub));
-  instances_[index]->group_members[0].push_back(id);
+  AttachBranch(id, index, 0, std::move(query));  // null if moved above
   ++plan_misses_;
-  dispatcher_.InvalidateIndex();
-  return id;
+  return Status::OK();
 }
 
 Result<QueryId> MultiQueryEngine::AddQuery(std::string_view xpath,
@@ -213,37 +276,92 @@ Result<QueryId> MultiQueryEngine::AddQuery(std::string_view xpath,
     return Status::InvalidArgument(
         "queries may be registered only at document boundaries");
   }
-  if (!options_.share_plans) {
-    VITEX_ASSIGN_OR_RETURN(
-        BuiltMachine built,
-        TwigMBuilder::Build(xpath, results, options, symbols_));
-    return AddDedicated(std::make_unique<BuiltMachine>(std::move(built)));
+  VITEX_ASSIGN_OR_RETURN(std::vector<xpath::Query> branches,
+                         xpath::ParseAndCompileUnion(xpath));
+  QueryId id = NewSubscription(results, branches.size());
+  for (xpath::Query& branch : branches) {
+    Status added =
+        AddBranch(id, std::make_unique<xpath::Query>(std::move(branch)),
+                  options, /*built=*/nullptr);
+    if (!added.ok()) {
+      (void)RemoveQuery(id);  // unregisters the branches added so far
+      return added;
+    }
   }
-  VITEX_ASSIGN_OR_RETURN(xpath::Query compiled,
-                         xpath::ParseAndCompile(xpath));
-  return Register(std::make_unique<xpath::Query>(std::move(compiled)),
-                  results, options, /*built=*/nullptr);
+  return id;
 }
 
 Result<QueryId> MultiQueryEngine::AddBuilt(BuiltMachine built) {
+  std::vector<BuiltMachine> branches;
+  branches.push_back(std::move(built));
+  return AddBuilt(std::move(branches));
+}
+
+Result<QueryId> MultiQueryEngine::AddBuilt(
+    std::vector<BuiltMachine> branches) {
   if (started_) {
     return Status::InvalidArgument(
         "queries may be registered only at document boundaries");
   }
-  if (&built.machine().symbols() != symbols_) {
-    return Status::InvalidArgument(
-        "machine was built against a different SymbolTable; build it with "
-        "TwigMBuilder::Build(..., engine.symbols()) so dispatch symbols "
-        "agree");
+  if (branches.empty()) {
+    return Status::InvalidArgument("a subscription needs at least one branch");
   }
-  auto owned = std::make_unique<BuiltMachine>(std::move(built));
-  if (!options_.share_plans) return AddDedicated(std::move(owned));
-  // Register against the machine's own compiled query: a join takes the
-  // Query out of the discarded machine for the subscription's record, an
-  // adopt moves the whole machine in — either way nothing is recompiled.
-  ResultHandler* handler = owned->machine().results();
-  TwigMachine::Options options = owned->machine().options();
-  return Register(/*query=*/nullptr, handler, options, std::move(owned));
+  ResultHandler* results = branches.front().machine().results();
+  for (BuiltMachine& branch : branches) {
+    if (&branch.machine().symbols() != symbols_) {
+      return Status::InvalidArgument(
+          "machine was built against a different SymbolTable; build it with "
+          "TwigMBuilder::Build(..., engine.symbols()) so dispatch symbols "
+          "agree");
+    }
+    if (branch.machine().results() != results) {
+      return Status::InvalidArgument(
+          "the branches of one subscription must share one ResultHandler");
+    }
+  }
+  // Register against each machine's own compiled query: a join takes the
+  // Query out of the discarded machine for the branch's record, an adopt
+  // moves the whole machine in — either way nothing is recompiled.
+  QueryId id = NewSubscription(results, branches.size());
+  for (BuiltMachine& branch : branches) {
+    TwigMachine::Options options = branch.machine().options();
+    Status added = AddBranch(id, /*query=*/nullptr, options,
+                             std::make_unique<BuiltMachine>(std::move(branch)));
+    if (!added.ok()) {
+      (void)RemoveQuery(id);  // unregisters the branches added so far
+      return added;
+    }
+  }
+  return id;
+}
+
+void MultiQueryEngine::DetachBranch(QueryId id, uint32_t branch_index) {
+  const Branch& branch = subs_[id]->branches[branch_index];
+  PlanInstance* instance = instances_[branch.instance].get();
+  auto& members = instance->group_members[branch.group];
+  members.erase(
+      std::find(members.begin(), members.end(), Member{id, branch_index}));
+  --instance->subscriber_count;
+  if (instance->subscriber_count == 0) {
+    // Last member of this plan: the machine goes with it.
+    DestroyInstance(branch.instance);
+  } else if (members.empty()) {
+    // The group's last member left: drop its mask bit and renumber the
+    // groups above it. Safe at a document boundary — no masks are live.
+    instance->group_params.erase(instance->group_params.begin() +
+                                 branch.group);
+    instance->group_members.erase(instance->group_members.begin() +
+                                  branch.group);
+    for (size_t g = 0; g < instance->group_members.size(); ++g) {
+      for (const Member& member : instance->group_members[g]) {
+        subs_[member.id]->branches[member.branch].group =
+            static_cast<uint32_t>(g);
+      }
+    }
+    Status rebound = RebindInstance(instance);
+    assert(rebound.ok());
+    (void)rebound;
+  }
 }
 
 Status MultiQueryEngine::RemoveQuery(QueryId id) {
@@ -254,26 +372,8 @@ Status MultiQueryEngine::RemoveQuery(QueryId id) {
   if (!has_query(id)) {
     return Status::InvalidArgument("no live query with this id");
   }
-  Subscription& sub = *subs_[id];
-  PlanInstance* instance = instances_[sub.instance].get();
-  auto& members = instance->group_members[sub.group];
-  members.erase(std::find(members.begin(), members.end(), id));
-  --instance->subscriber_count;
-  if (instance->subscriber_count == 0) {
-    // Last subscriber of this plan: the machine goes with it.
-    DestroyInstance(sub.instance);
-  } else if (members.empty()) {
-    // The group's last subscriber left: drop its mask bit and renumber the
-    // groups above it. Safe at a document boundary — no masks are live.
-    instance->group_params.erase(instance->group_params.begin() + sub.group);
-    instance->group_members.erase(instance->group_members.begin() +
-                                  sub.group);
-    for (size_t g = 0; g < instance->group_members.size(); ++g) {
-      for (QueryId member : instance->group_members[g]) {
-        subs_[member]->group = static_cast<uint32_t>(g);
-      }
-    }
-    VITEX_RETURN_IF_ERROR(RebindInstance(instance));
+  for (size_t b = 0; b < subs_[id]->branches.size(); ++b) {
+    DetachBranch(id, static_cast<uint32_t>(b));
   }
   subs_[id] = nullptr;
   free_slots_.push_back(id);
@@ -284,9 +384,9 @@ Status MultiQueryEngine::RemoveQuery(QueryId id) {
 }
 
 const xpath::Query& MultiQueryEngine::query(QueryId id) const {
-  const Subscription& sub = *subs_[id];
-  if (sub.query != nullptr) return *sub.query;
-  return instances_[sub.instance]->built->query();
+  const Branch& branch = subs_[id]->branches.front();
+  if (branch.query != nullptr) return *branch.query;
+  return instances_[branch.instance]->built->query();
 }
 
 Status MultiQueryEngine::Feed(std::string_view chunk) {

@@ -19,8 +19,8 @@
 //   * character data is coalesced once, centrally, and delivered as whole
 //     text nodes to machines that select text;
 //   * document-order sequence numbers are stamped by the SAX parser, so
-//     skipped events never desynchronize machines (UnionEngine's dedup
-//     depends on identical numbering across branches).
+//     skipped events never desynchronize machines (the dedup of union
+//     subscriptions depends on identical numbering across branches).
 //
 // On top of dispatch, the engine *hash-conses query plans* (DESIGN.md §7):
 // each query is canonicalized to its structural skeleton (axes, name tests,
@@ -36,12 +36,20 @@
 // with Options::share_plans = false to get one private machine per query
 // (the differential oracle pins the two modes against each other).
 //
+// A union `p1 | p2 | ...` is one subscription whose branches are ordinary
+// plan members: each branch joins (or creates) a plan instance exactly as
+// a path subscription would, and every branch delivers into one
+// per-subscription dedup handler that drops a node another branch already
+// reported this document (keyed on the parser's sequence stamps). One
+// QueryId stands for the whole union.
+//
 // Typical usage:
 //
 //   vitex::twigm::MultiQueryEngine engine;
-//   vitex::twigm::VectorResultCollector news, stocks;
+//   vitex::twigm::VectorResultCollector news, stocks, digest;
 //   engine.AddQuery("//article[topic = 'tech']//headline", &news);
 //   engine.AddQuery("//quote[@symbol = 'ACME']/price", &stocks);
+//   engine.AddQuery("//headline | //quote/price", &digest);  // a union
 //   engine.Feed(chunk);          // one parse serves every subscription
 //   ...
 //   engine.Finish();
@@ -101,8 +109,9 @@ struct DispatchStats {
   /// Distinct shared skeletons among the machines (each may chain several
   /// instances when it outgrows 64 parameter groups).
   uint64_t plans = 0;
-  /// AddQuery/AddBuilt calls that joined an existing plan instance vs
-  /// created a new one (engine lifetime, survives ResetStream).
+  /// Branch registrations (one per path, one per union branch) that joined
+  /// an existing plan instance vs created a new one (engine lifetime,
+  /// survives ResetStream).
   uint64_t plan_hits = 0;
   uint64_t plan_misses = 0;
 };
@@ -145,22 +154,30 @@ class MultiQueryEngine {
   MultiQueryEngine(const MultiQueryEngine&) = delete;
   MultiQueryEngine& operator=(const MultiQueryEngine&) = delete;
 
-  /// Registers a standing query. Registrations must happen at a document
+  /// Registers a standing query: a path, or a union `p1 | p2 | ...` whose
+  /// `results` sees each selected node once per document however many
+  /// branches select it. Registrations must happen at a document
   /// boundary: before the first Feed(), after ResetStream(), or between
   /// RunEvents() documents. `results` must outlive the engine; may be null.
   Result<QueryId> AddQuery(std::string_view xpath, ResultHandler* results,
                            TwigMachine::Options options = {});
 
-  /// Registers an already-built machine (used by UnionEngine and callers
-  /// that compile queries themselves). The machine must have been built
+  /// Registers an already-built machine (for callers that compile queries
+  /// themselves, like StreamService). The machine must have been built
   /// against this engine's symbols() table; InvalidArgument otherwise.
   /// Under plan sharing the machine may be discarded in favor of an
   /// existing instance with the same skeleton and options — its
   /// ResultHandler then joins that plan's subscriber list.
   Result<QueryId> AddBuilt(BuiltMachine built);
 
+  /// Registers a union subscription from one pre-built machine per branch
+  /// (a one-element vector is a path subscription). Every branch must be
+  /// built against symbols() with the same ResultHandler, which then sees
+  /// each selected node once per document, as with AddQuery.
+  Result<QueryId> AddBuilt(std::vector<BuiltMachine> branches);
+
   /// Deregisters a query at a document boundary (subscription lifecycle:
-  /// DESIGN.md §5). The subscription leaves its plan's subscriber group;
+  /// DESIGN.md §5). Each branch leaves its plan's subscriber group;
   /// the machine itself is dropped only when its last subscriber goes (plan
   /// refcounting), and the dispatch postings follow at the next rebuild.
   /// The ResultHandler is never touched again. The id's slot is recycled by
@@ -212,12 +229,15 @@ class MultiQueryEngine {
   void ResetStream();
 
   /// The compiled query of a live subscription (its own literals, even when
-  /// the executing machine is shared); `id` must satisfy has_query(id).
+  /// the executing machine is shared; a union's first branch); `id` must
+  /// satisfy has_query(id).
   const xpath::Query& query(QueryId id) const;
-  /// The machine executing a live subscription. Under plan sharing this may
-  /// serve other subscriptions too, so its stats aggregate across them.
+  /// The machine executing a live subscription (a union's first branch).
+  /// Under plan sharing this may serve other subscriptions too, so its
+  /// stats aggregate across them.
   const TwigMachine& machine(QueryId id) const {
-    return instances_[subs_[id]->instance]->built->machine();
+    return instances_[subs_[id]->branches.front().instance]
+        ->built->machine();
   }
 
   const DispatchStats& dispatch_stats() const { return dispatch_stats_; }
@@ -230,9 +250,17 @@ class MultiQueryEngine {
   // Shared instances serve up to 64 parameter groups, each a distinct
   // literal vector with its own subscriber list; a skeleton with more
   // groups chains additional instances under the same cache key. Dedicated
-  // instances (share_plans off) serve exactly one subscription through the
-  // machine's own ResultHandler.
+  // instances (share_plans off) serve exactly one subscription branch
+  // through the machine's own ResultHandler.
   struct PlanInstance;
+  // A plan group member: branch `branch` of subscription `id`.
+  struct Member {
+    QueryId id;
+    uint32_t branch;
+    bool operator==(const Member& other) const {
+      return id == other.id && branch == other.branch;
+    }
+  };
   // Fan-out sink: maps a machine's (solution, group mask) to the group's
   // subscriber handlers.
   class GroupFanout : public GroupResultSink {
@@ -257,20 +285,55 @@ class MultiQueryEngine {
     // Parameter groups: group g's literal vector and subscribers. Parallel
     // to the group-major rows of `bindings`.
     std::vector<std::vector<xpath::ValueParam>> group_params;
-    std::vector<std::vector<QueryId>> group_members;
-    size_t subscriber_count = 0;
+    std::vector<std::vector<Member>> group_members;
+    size_t subscriber_count = 0;  // members across all groups
     PlanBindings bindings;
     std::unique_ptr<GroupFanout> sink;
   };
 
-  struct Subscription {
+  // A union subscription's handler: forwards the first delivery of each
+  // sequence stamp per document and drops the rest (another branch already
+  // reported that node). The seen-set is a versioned open-addressing table
+  // (DESIGN.md §12): each slot is stamped with the dispatcher's document
+  // generation, so a new document finds the set empty without clearing
+  // it, and the table keeps its capacity across documents.
+  class UnionDedup : public ResultHandler {
+   public:
+    UnionDedup(ResultHandler* out, const uint64_t* doc_gen)
+        : out_(out), doc_gen_(doc_gen) {}
+    void OnResult(std::string_view fragment, uint64_t sequence) override;
+
+   private:
+    struct SeenSlot {
+      uint64_t key = 0;
+      uint64_t generation = 0;  // 0 never matches: documents start at 1
+    };
+    // Inserts `key`; false if it was already present this document.
+    bool Insert(uint64_t key);
+    void Grow();
+
+    ResultHandler* out_;
+    const uint64_t* doc_gen_;      // the dispatcher's document generation
+    std::vector<SeenSlot> slots_;  // power-of-two size
+    size_t size_ = 0;              // entries stamped generation_
+    uint64_t generation_ = 0;
+  };
+
+  // One branch of a subscription (a path subscription has one): its plan
+  // instance and parameter group there, and its own compiled query — null
+  // when the Query was moved into the instance machine (query() then reads
+  // it from there).
+  struct Branch {
     uint32_t instance = 0;
     uint32_t group = 0;
-    ResultHandler* handler = nullptr;
-    // The subscription's own compiled query; null for the subscription
-    // whose Query was moved into the instance machine (query() then reads
-    // it from there).
     std::unique_ptr<xpath::Query> query;
+  };
+
+  struct Subscription {
+    // Where every branch delivers: the caller's handler, or `dedup`.
+    ResultHandler* handler = nullptr;
+    std::unique_ptr<UnionDedup> dedup;  // unions only
+    std::vector<Branch> branches;
   };
 
   // Routes each SAX event to the machines that can use it (see file
@@ -291,6 +354,8 @@ class MultiQueryEngine {
     void InvalidateIndex() { index_built_ = false; }
     /// Bytes held in the central text buffer (counts toward live memory).
     size_t pending_text_bytes() const { return pending_text_.buffer.size(); }
+    /// Bumped at every StartDocument; union dedup stamps its entries with it.
+    const uint64_t* doc_generation() const { return &doc_gen_; }
 
    private:
     // Per-machine dispatch subscriptions, derived from the query shape.
@@ -375,16 +440,20 @@ class MultiQueryEngine {
     size_t min_memory_limit_ = 0;  // 0 = no machine has a limit
   };
 
-  // Registration internals (shared by AddQuery and AddBuilt). Exactly one
-  // of `query` (caller compiled the query; a machine is built on demand if
-  // no instance can be joined) and `built` (pre-built machine, adopted as
-  // a new instance or disassembled for its Query on a join) must be
-  // non-null.
-  Result<QueryId> Register(std::unique_ptr<xpath::Query> query,
-                           ResultHandler* handler,
-                           TwigMachine::Options options,
-                           std::unique_ptr<BuiltMachine> built);
-  Result<QueryId> AddDedicated(std::unique_ptr<BuiltMachine> built);
+  // Registration internals (shared by AddQuery and AddBuilt). A
+  // subscription slot is allocated first, then each branch is added to it;
+  // a branch that fails removes the whole subscription again.
+  QueryId NewSubscription(ResultHandler* handler, size_t branch_count);
+  // Exactly one of `query` (caller compiled the query; a machine is built
+  // on demand if no instance can be joined) and `built` (pre-built
+  // machine, adopted as a new instance or disassembled for its Query on a
+  // join) must be non-null.
+  Status AddBranch(QueryId id, std::unique_ptr<xpath::Query> query,
+                   TwigMachine::Options options,
+                   std::unique_ptr<BuiltMachine> built);
+  void AttachBranch(QueryId id, uint32_t instance, uint32_t group,
+                    std::unique_ptr<xpath::Query> query);
+  void DetachBranch(QueryId id, uint32_t branch);
   QueryId AllocateSubscription(std::unique_ptr<Subscription> sub);
   uint32_t AllocateInstance(std::unique_ptr<PlanInstance> instance);
   // Rewrites `instance`'s PlanBindings rows from group_params and rebinds

@@ -15,8 +15,9 @@
 // (StartElementEvent::symbol, Attribute::symbol) and document-order
 // sequence numbers (StartElementEvent::sequence, TextEvent::sequence) are
 // recorded and replayed verbatim, so symbol-aware consumers (TwigM's match
-// index, the multi-query dispatcher, UnionEngine's sequence-keyed dedup)
-// behave identically on a replayed stream and on the original parse.
+// index, the multi-query dispatcher, the sequence-keyed dedup of union
+// subscriptions) behave identically on a replayed stream and on the
+// original parse.
 //
 // All strings are appended to one heap buffer; an event is a fixed-size
 // record of offsets, so a log of n events costs O(total text) + ~56n bytes.

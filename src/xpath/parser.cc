@@ -13,22 +13,6 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<Path> ParseQuery() {
-    Path path;
-    path.absolute = true;
-    VITEX_RETURN_IF_ERROR(ParseSteps(&path, /*top_level=*/true));
-    if (At(TokenKind::kPipe)) {
-      return Error("'|' union queries must be parsed with ParseXPathUnion");
-    }
-    if (!At(TokenKind::kEnd)) {
-      return Error("unexpected trailing tokens");
-    }
-    if (path.steps.empty()) {
-      return Status::ParseError("XPath query has no steps");
-    }
-    return path;
-  }
-
   Result<std::vector<Path>> ParseUnion() {
     std::vector<Path> out;
     while (true) {
@@ -327,9 +311,13 @@ class Parser {
 }  // namespace
 
 Result<Path> ParseXPath(std::string_view query) {
-  VITEX_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(query));
-  Parser parser(std::move(tokens));
-  return parser.ParseQuery();
+  VITEX_ASSIGN_OR_RETURN(std::vector<Path> branches, ParseXPathUnion(query));
+  if (branches.size() != 1) {
+    return Status::ParseError(
+        "XPath parser: '|' union queries run only as MultiQueryEngine or "
+        "vitex::Service subscriptions");
+  }
+  return std::move(branches.front());
 }
 
 Result<std::vector<Path>> ParseXPathUnion(std::string_view query) {

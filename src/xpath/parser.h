@@ -3,6 +3,7 @@
 // Supported grammar (XP{/,//,*,[]} of the paper, plus the attribute and
 // text() features the paper's own example queries use):
 //
+//   Union      := Query ( '|' Query )*
 //   Query      := ('/' | '//') Step ( ('/' | '//') Step )*
 //   Step       := '@' (Name | '*') | NodeTest Predicate*
 //   NodeTest   := Name | '*' | 'text' '(' ')'
@@ -29,12 +30,14 @@
 
 namespace vitex::xpath {
 
-/// Parses a complete XPath query. The result is always an absolute path with
-/// at least one step. Rejects '|' unions (use ParseXPathUnion).
-Result<Path> ParseXPath(std::string_view query);
-
-/// Parses a union query `p1 | p2 | ...` into its branch paths (one or more).
+/// Parses a union query `p1 | p2 | ...` into its branch paths (one or more;
+/// a plain path is a one-branch union). Every branch is an absolute path
+/// with at least one step.
 Result<std::vector<Path>> ParseXPathUnion(std::string_view query);
+
+/// ParseXPathUnion restricted to one branch: rejects '|' unions, which
+/// only a MultiQueryEngine (or vitex::Service) subscription can run.
+Result<Path> ParseXPath(std::string_view query);
 
 }  // namespace vitex::xpath
 

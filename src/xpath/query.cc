@@ -408,4 +408,20 @@ Result<Query> ParseAndCompile(std::string_view query_text) {
   return Query::Compile(ast, std::string(query_text));
 }
 
+Result<std::vector<Query>> ParseAndCompileUnion(std::string_view query_text) {
+  VITEX_ASSIGN_OR_RETURN(std::vector<Path> branches,
+                         ParseXPathUnion(query_text));
+  std::vector<Query> out;
+  out.reserve(branches.size());
+  for (const Path& branch : branches) {
+    VITEX_ASSIGN_OR_RETURN(
+        Query compiled,
+        Query::Compile(branch, branches.size() == 1
+                                   ? std::string(query_text)
+                                   : PathToString(branch)));
+    out.push_back(std::move(compiled));
+  }
+  return out;
+}
+
 }  // namespace vitex::xpath

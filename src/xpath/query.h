@@ -151,6 +151,11 @@ class Query {
 /// One-call convenience: lex + parse + compile.
 Result<Query> ParseAndCompile(std::string_view query_text);
 
+/// ParseAndCompile for a union `p1 | p2 | ...`: one compiled query per
+/// branch. A plain path compiles exactly as ParseAndCompile does, source
+/// text included; union branches carry their re-rendered path text.
+Result<std::vector<Query>> ParseAndCompileUnion(std::string_view query_text);
+
 /// The value-comparison kernel shared by QueryNode::CompareValue and the
 /// shared-plan parameter evaluators (canonical.h): applies `op` between a
 /// node value and a literal whose numeric coercions were resolved once at

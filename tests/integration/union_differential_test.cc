@@ -1,80 +1,81 @@
-// Randomized differential testing for union queries: the streaming
-// UnionEngine vs the set-union of per-branch DOM oracle results.
+// Randomized differential testing for union subscriptions: the streaming
+// union — a MultiQueryEngine subscription with plan sharing on and off, and
+// a vitex::Service subscription at 1-4 shards — vs the set union of the
+// per-branch DOM oracle results. Answers are compared as sorted
+// (sequence, fragment) lists, so a node delivered twice is a divergence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/dom_evaluator.h"
 #include "common/random.h"
-#include "twigm/union_engine.h"
+#include "difftest/oracle.h"
+#include "service/vitex.h"
 #include "workload/random_generator.h"
 #include "xml/dom.h"
-#include "xpath/parser.h"
 #include "xpath/query.h"
 
 namespace vitex {
 namespace {
 
-std::vector<std::string> DomUnion(const std::string& union_query,
-                                  const std::string& doc) {
-  auto branches = xpath::ParseXPathUnion(union_query);
+using difftest::ResultSet;
+
+ResultSet DomUnion(const std::string& union_query, const std::string& doc) {
+  auto branches = xpath::ParseAndCompileUnion(union_query);
   EXPECT_TRUE(branches.ok()) << branches.status();
   auto dom = xml::ParseIntoDom(doc);
   EXPECT_TRUE(dom.ok());
-  std::vector<const xml::DomNode*> nodes;
-  for (const xpath::Path& branch : branches.value()) {
-    auto compiled = xpath::Query::Compile(branch, "");
-    EXPECT_TRUE(compiled.ok());
+  if (!branches.ok() || !dom.ok()) return {};
+  std::set<std::pair<uint64_t, std::string>> nodes;
+  for (const xpath::Query& branch : branches.value()) {
     baseline::DomEvaluator eval(&dom.value());
-    for (const xml::DomNode* n : eval.Evaluate(compiled.value())) {
-      nodes.push_back(n);
+    for (auto& result : eval.EvaluateToSequencedFragments(branch)) {
+      nodes.insert(std::move(result));
     }
   }
-  std::sort(nodes.begin(), nodes.end(),
-            [](const xml::DomNode* a, const xml::DomNode* b) {
-              return a->order < b->order;
-            });
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  std::vector<std::string> out;
-  for (const xml::DomNode* n : nodes) {
-    if (n->IsAttribute() || n->IsText()) {
-      out.emplace_back(n->value);
-    } else {
-      out.push_back(xml::Document::Serialize(n));
-    }
-  }
-  return out;
+  return ResultSet(nodes.begin(), nodes.end());
 }
 
-std::vector<std::string> StreamUnion(const std::string& union_query,
-                                     const std::string& doc) {
-  twigm::VectorResultCollector results;
-  auto engine = twigm::UnionEngine::Create(union_query, &results);
-  EXPECT_TRUE(engine.ok()) << union_query << ": " << engine.status();
-  Status s = engine->RunString(doc);
-  EXPECT_TRUE(s.ok()) << s;
-  return results.SortedFragments();
+ResultSet StreamUnion(const std::string& union_query, const std::string& doc,
+                      bool share_plans) {
+  auto got = difftest::Oracle::RunMultiQuery({union_query}, {}, doc,
+                                             share_plans);
+  EXPECT_TRUE(got.ok()) << union_query << ": " << got.status();
+  return got.ok() ? got.value()[0] : ResultSet();
+}
+
+std::string RandomUnion(Random* rng) {
+  workload::RandomQueryOptions query_options;
+  int branches = 2 + static_cast<int>(rng->Uniform(2));
+  std::string union_query;
+  for (int b = 0; b < branches; ++b) {
+    if (b > 0) union_query += " | ";
+    union_query += workload::GenerateRandomQuery(query_options, rng);
+  }
+  return union_query;
 }
 
 class UnionDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Each seed runs the same documents and unions with plan sharing on and off.
 TEST_P(UnionDifferentialTest, StreamingUnionMatchesDomUnion) {
-  Random rng(GetParam());
-  workload::RandomDocOptions doc_options;
-  doc_options.max_elements = 70;
-  workload::RandomQueryOptions query_options;
-  for (int i = 0; i < 12; ++i) {
-    std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
-    int branches = 2 + static_cast<int>(rng.Uniform(2));
-    std::string union_query;
-    for (int b = 0; b < branches; ++b) {
-      if (b > 0) union_query += " | ";
-      union_query += workload::GenerateRandomQuery(query_options, &rng);
+  for (bool share_plans : {true, false}) {
+    SCOPED_TRACE(share_plans ? "share_plans on" : "share_plans off");
+    Random rng(GetParam());
+    workload::RandomDocOptions doc_options;
+    doc_options.max_elements = 70;
+    for (int i = 0; i < 12; ++i) {
+      std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
+      std::string union_query = RandomUnion(&rng);
+      EXPECT_EQ(StreamUnion(union_query, doc, share_plans),
+                DomUnion(union_query, doc))
+          << union_query << "\ndoc: " << doc;
     }
-    EXPECT_EQ(StreamUnion(union_query, doc), DomUnion(union_query, doc))
-        << union_query << "\ndoc: " << doc;
   }
 }
 
@@ -83,16 +84,58 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnionDifferentialTest,
 
 TEST(UnionDifferentialTest, IdenticalBranchesCollapse) {
   // p | p must equal p exactly (full dedup).
-  Random rng(5150);
+  for (bool share_plans : {true, false}) {
+    Random rng(5150);
+    workload::RandomDocOptions doc_options;
+    doc_options.max_elements = 60;
+    workload::RandomQueryOptions query_options;
+    for (int i = 0; i < 10; ++i) {
+      std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
+      std::string q = workload::GenerateRandomQuery(query_options, &rng);
+      auto single = StreamUnion(q, doc, share_plans);
+      auto doubled = StreamUnion(q + " | " + q, doc, share_plans);
+      EXPECT_EQ(single, doubled) << q;
+    }
+  }
+}
+
+// The same check through the public facade, where each shard runs its own
+// engine: every union is one subscription, and each document's deliveries
+// are exactly that document's DOM union.
+TEST(StreamServiceUnionTest, ServiceUnionMatchesDomUnion) {
+  Random rng(4242);
   workload::RandomDocOptions doc_options;
   doc_options.max_elements = 60;
-  workload::RandomQueryOptions query_options;
-  for (int i = 0; i < 10; ++i) {
-    std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
-    std::string q = workload::GenerateRandomQuery(query_options, &rng);
-    auto single = StreamUnion(q, doc);
-    auto doubled = StreamUnion(q + " | " + q, doc);
-    EXPECT_EQ(single, doubled) << q;
+  for (size_t shards = 1; shards <= 4; ++shards) {
+    ServiceOptions options;
+    options.shard_count = shards;
+    options.stream_count = 1;
+    Service service(options);
+    std::vector<std::string> queries;
+    std::vector<Subscription> subs;
+    for (int q = 0; q < 6; ++q) {
+      queries.push_back(RandomUnion(&rng));
+      auto sub = service.Subscribe(queries.back());
+      ASSERT_TRUE(sub.ok()) << queries.back() << ": " << sub.status();
+      subs.push_back(std::move(sub).value());
+    }
+    EXPECT_EQ(service.stats().active_subscriptions, queries.size());
+    for (int d = 0; d < 4; ++d) {
+      std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
+      ASSERT_TRUE(service.Publish(doc).ok());
+      ASSERT_TRUE(service.Flush().ok());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        auto deliveries = subs[q].Drain();
+        ASSERT_TRUE(deliveries.ok());
+        ResultSet got;
+        for (Delivery& delivery : deliveries.value()) {
+          got.emplace_back(delivery.sequence, std::move(delivery.fragment));
+        }
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, DomUnion(queries[q], doc))
+            << shards << " shards: " << queries[q] << "\ndoc: " << doc;
+      }
+    }
   }
 }
 

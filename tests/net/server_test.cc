@@ -1,6 +1,7 @@
 // End-to-end tests of the TCP serving surface (net/server.h) through the
 // real client (net/client.h): handshake and auth, the full
-// subscribe/publish/match/unsubscribe lifecycle, error-code parity with
+// subscribe/publish/match/unsubscribe lifecycle (union subscriptions
+// included, checked against the DOM union), error-code parity with
 // the in-process facade (the satellite-3 contract: the wire changes the
 // transport, never the Status), protocol-violation teardown, shutdown
 // BYE, and the HTTP /statsz side door. Everything runs against a live
@@ -17,11 +18,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "baseline/dom_evaluator.h"
 #include "net/client.h"
 #include "service/vitex.h"
+#include "xml/dom.h"
+#include "xpath/query.h"
 
 namespace vitex::net {
 namespace {
@@ -112,6 +120,51 @@ TEST_F(NetServerTest, SubscribePublishDeliversMatches) {
   EXPECT_EQ((*m2)->fragment, "second");
   // Document-order sequence stamps are strictly increasing per document.
   EXPECT_GT((*m2)->sequence, (*m1)->sequence);
+}
+
+TEST_F(NetServerTest, UnionSubscriptionDeliversTheDomUnion) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_TRUE(client.ok());
+
+  // Overlapping branches with element and attribute outputs: the <a>
+  // holding a <b> is selected by both //a and //*[b].
+  const std::string query = "//a | //*[b] | //a/@id";
+  const std::string doc =
+      "<r><a id=\"1\"><b/></a><c><b/></c><a/>"
+      "<b><a id=\"2\"><b/></a></b></r>";
+  auto sub = (*client)->Subscribe(query);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  ASSERT_TRUE((*client)->Publish(doc).ok());
+
+  std::set<std::pair<uint64_t, std::string>> expected;
+  auto branches = xpath::ParseAndCompileUnion(query);
+  ASSERT_TRUE(branches.ok());
+  auto dom = xml::ParseIntoDom(doc);
+  ASSERT_TRUE(dom.ok());
+  for (const xpath::Query& branch : branches.value()) {
+    baseline::DomEvaluator eval(&dom.value());
+    for (auto& result : eval.EvaluateToSequencedFragments(branch)) {
+      expected.insert(std::move(result));
+    }
+  }
+
+  std::vector<std::pair<uint64_t, std::string>> got;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    auto match = (*client)->PollMatch(5000);
+    ASSERT_TRUE(match.ok());
+    ASSERT_TRUE(match->has_value()) << "missing match " << i;
+    EXPECT_EQ((*match)->subscription_id, sub.value());
+    got.emplace_back((*match)->sequence, (*match)->fragment);
+  }
+  // Nothing beyond the union: no duplicate of a node two branches select.
+  ASSERT_TRUE(service_->Flush().ok());
+  auto extra = (*client)->PollMatch(200);
+  ASSERT_TRUE(extra.ok());
+  EXPECT_FALSE(extra->has_value());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::pair<uint64_t, std::string>>(
+                     expected.begin(), expected.end())));
 }
 
 TEST_F(NetServerTest, MatchesFanOutToTheRightSubscription) {

@@ -3,14 +3,17 @@
 // to a MatchSink on shard threads instead of buffering for Drain. These
 // tests pin the contract net/server.cc is built on: per-subscription
 // delivery order, the OnMatch-refusal/OnOverflow accounting, Drain being
-// an error on push subscriptions, and the sink staying alive (no
-// OnMatch on a dead object) across the ASYNC unsubscribe window.
+// an error on push subscriptions, the sink staying alive (no OnMatch on a
+// dead object) across the ASYNC unsubscribe window, and which deliveries
+// that window holds: exactly those of documents published before the
+// Unsubscribe call.
 
 #include "service/match_sink.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -184,6 +187,82 @@ TEST(ServicePushSinkTest, SinkOutlivesTheAsyncUnsubscribeWindow) {
   // Once flushed, the markers applied and the service released the sink.
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_TRUE(watch.expired());
+}
+
+// Blocks its first OnMatch until Open(); records every fragment.
+class LatchedSink : public MatchSink {
+ public:
+  bool OnMatch(SubscriptionId, const Delivery& delivery) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!entered_) {
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+    }
+    fragments_.push_back(delivery.fragment);
+    return true;
+  }
+  void OnOverflow(SubscriptionId, uint64_t) override {}
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  std::vector<std::string> fragments() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fragments_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+  std::vector<std::string> fragments_;
+};
+
+TEST(ServicePushSinkTest, UnsubscribeAppliesAtItsEpochNotAtReturn) {
+  // The epoch rule (DESIGN.md §5): Unsubscribe applies after every
+  // document published before it. Here the shard is parked inside the
+  // first OnMatch until Unsubscribe has returned, so all of those
+  // deliveries start after the call returned — and none of the documents
+  // published after it may reach the sink.
+  Service service(TwoShardOptions());
+  auto sink = std::make_shared<LatchedSink>();
+  SinkOptions push;
+  push.mode = DeliveryMode::kPush;
+  push.sink = sink;
+  // Opens the latch on every exit path: Stop() joins the parked shard.
+  struct OpenOnExit {
+    LatchedSink* sink;
+    ~OpenOnExit() { sink->Open(); }
+  } open_on_exit{sink.get()};
+  auto sub = service.Subscribe("//item/text()", std::move(push));
+  ASSERT_TRUE(sub.ok());
+
+  constexpr int kBefore = 5;
+  std::vector<std::string> expected;
+  for (int d = 0; d < kBefore; ++d) {
+    expected.push_back("before" + std::to_string(d));
+    ASSERT_TRUE(
+        service.Publish("<r><item>" + expected.back() + "</item></r>").ok());
+  }
+  sink->WaitEntered();
+  ASSERT_TRUE(sub->Unsubscribe().ok());
+  for (int d = 0; d < 5; ++d) {
+    ASSERT_TRUE(service
+                    .Publish("<r><item>after" + std::to_string(d) +
+                             "</item></r>")
+                    .ok());
+  }
+  sink->Open();
+  ASSERT_TRUE(service.Flush().ok());
+  EXPECT_EQ(sink->fragments(), expected);
 }
 
 TEST(ServicePushSinkTest, PushAndPullSubscriptionsCoexist) {

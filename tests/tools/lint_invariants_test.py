@@ -191,7 +191,7 @@ class ResetOkTest(FixtureTest):
 
     def test_waived_clear_is_allowed(self):
         self.write(
-            "src/twigm/union_engine.h",
+            "src/twigm/multi_query.cc",
             "void Shutdown() {\n"
             "  seen_.clear();  // lint: reset-ok(engine teardown, not a "
             "document reset)\n"

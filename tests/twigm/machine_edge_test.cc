@@ -62,7 +62,7 @@ TEST(MachineEdgeTest, ManyAttributesOnOneElement) {
 
 TEST(MachineEdgeTest, SequenceKeysAreDocumentOrderAndQueryIndependent) {
   // Two different queries over the same stream must assign the same key to
-  // the same node (the property UnionEngine's dedup relies on).
+  // the same node (the property union subscriptions' dedup relies on).
   const char* doc = "<a k=\"v\"><b>t</b><c/></a>";
   VectorResultCollector by_wildcard, by_name;
   auto e1 = Engine::Create("//*", &by_wildcard);

@@ -132,8 +132,9 @@ std::string XmarkDoc() {
 
 // The paper's PSD workload query plus shared-skeleton variants (same twig,
 // different literals — one shared plan, several groups when share_plans is
-// on), an element-output query (exercises the recording/candidate pools)
-// and a value-predicate query (exercises the comparison path).
+// on), an element-output query (exercises the recording/candidate pools),
+// a value-predicate query (exercises the comparison path) and a union whose
+// branches select overlapping nodes (exercises the dedup seen-set).
 std::vector<std::string> ProteinQueries() {
   return {
       "//ProteinEntry[reference]/@id",
@@ -141,6 +142,7 @@ std::vector<std::string> ProteinQueries() {
       "//header[uid = '9000002']/accession",
       "//reference/refinfo/authors",
       "//organism/source",
+      "//ProteinEntry[reference]/@id | //ProteinEntry/@id | //refinfo/authors",
   };
 }
 
@@ -151,6 +153,7 @@ std::vector<std::string> XmarkQueries() {
       "//open_auction[initial = '12.00']/@id",
       "//open_auction[initial = '99.00']/@id",
       "//bidder/personref/@person",
+      "//people/person | //person[name] | //item[incategory]/name",
   };
 }
 

@@ -97,8 +97,8 @@ TEST(EventLogTest, TwigMOnReplayMatchesTwigMOnParse) {
 // Replay must preserve the producer's stamps: interned symbols and
 // document-order sequence numbers. (A replay that drops them silently
 // desynchronizes symbol-aware consumers — the multi-query dispatcher would
-// fall back to broadcast-or-miss, and UnionEngine's sequence-keyed dedup
-// would double-report.)
+// fall back to broadcast-or-miss, and the sequence-keyed dedup of union
+// subscriptions would double-report.)
 class StampTraceHandler : public ContentHandler {
  public:
   Status StartElement(const StartElementEvent& event) override {

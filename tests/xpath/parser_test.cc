@@ -216,6 +216,22 @@ TEST(ParserTest, ClonePreservesStructure) {
   EXPECT_EQ(PathToString(p), PathToString(clone));
 }
 
+TEST(ParserTest, UnionBranchCountAndIntrospection) {
+  auto branches = ParseXPathUnion("//a | //b[c]//d");
+  ASSERT_TRUE(branches.ok()) << branches.status();
+  ASSERT_EQ(branches->size(), 2u);
+  EXPECT_EQ(PathToString((*branches)[0]), "//a");
+  ASSERT_EQ((*branches)[1].steps.size(), 2u);
+  EXPECT_EQ((*branches)[1].steps[0].predicates.size(), 1u);
+  // A plain path is a one-branch union; ParseXPath accepts only that.
+  auto single = ParseXPathUnion("//a");
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(single->size(), 1u);
+  Status rejected = ParseXPath("//a | //b").status();
+  EXPECT_TRUE(rejected.IsParseError());
+  EXPECT_NE(rejected.message().find("MultiQueryEngine"), std::string::npos);
+}
+
 // --- Errors -----------------------------------------------------------------
 
 TEST(ParserErrorTest, MustStartWithSlash) {

@@ -52,7 +52,12 @@ void BM_MachineConstruction(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    vitex::twigm::TwigMachine machine(&compiled.value(), nullptr);
+    // A fresh table per iteration: every name test is interned anew, as
+    // for the first subscription of a new engine.
+    vitex::SymbolTable symbols;
+    vitex::twigm::TwigMachine machine(&compiled.value(), nullptr,
+                                      vitex::twigm::TwigMachine::Options(),
+                                      &symbols);
     benchmark::DoNotOptimize(machine.stats());
   }
   state.SetComplexityN(state.range(0));
@@ -62,7 +67,9 @@ BENCHMARK(BM_MachineConstruction)->Range(4, 2048)->Complexity(benchmark::oN);
 void BM_BuildWidePredicates(benchmark::State& state) {
   std::string q = WideQuery(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto built = vitex::twigm::TwigMBuilder::Build(q, nullptr);
+    vitex::SymbolTable symbols;
+    auto built = vitex::twigm::TwigMBuilder::Build(
+        q, nullptr, vitex::twigm::TwigMachine::Options(), &symbols);
     if (!built.ok()) {
       state.SkipWithError(built.status().ToString().c_str());
       break;

@@ -268,12 +268,14 @@ Status NaiveStreamMatcher::ProcessAttributes(
   return Status::OK();
 }
 
-Status NaiveStreamMatcher::Characters(std::string_view text, int depth) {
+Status NaiveStreamMatcher::Text(const xml::TextEvent& event) {
+  // The event's sequence stamp is ignored: the baseline numbers nodes with
+  // its own counter, independently of the producer.
   if (pending_text_.empty()) {
-    pending_text_.assign(text);
-    pending_text_depth_ = depth;
+    pending_text_.assign(event.text);
+    pending_text_depth_ = event.depth;
   } else {
-    pending_text_.append(text);
+    pending_text_.append(event.text);
   }
   return Status::OK();
 }

@@ -56,7 +56,7 @@ class NaiveStreamMatcher : public xml::ContentHandler {
   Status StartDocument() override;
   Status StartElement(const xml::StartElementEvent& event) override;
   Status EndElement(std::string_view name, int depth) override;
-  Status Characters(std::string_view text, int depth) override;
+  Status Text(const xml::TextEvent& event) override;
   Status EndDocument() override;
 
   const NaiveStats& stats() const { return stats_; }

@@ -4,7 +4,8 @@
 //   1. dom-baseline — baseline::DomEvaluator over a materialized DOM:
 //      random access + memoization, the paper's §1 non-streaming evaluator.
 //      Ground truth.
-//   2. twigm — a single twigm::Engine (SAX → TwigMachine), one pass.
+//   2. twigm — a single twigm::Engine: a one-subscription engine,
+//      optionally fed in tiny chunks (OracleOptions::feed_chunk_bytes).
 //   3. multi-query — twigm::MultiQueryEngine with the checked queries and K
 //      extra decoy queries co-registered, so the dispatch index, broadcast
 //      fallbacks and central text coalescing are in play. Plan sharing is

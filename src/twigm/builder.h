@@ -54,19 +54,19 @@ class TwigMBuilder {
   /// Builds a machine from XPath text. O(|Q|) after parsing.
   ///
   /// `symbols` is the SymbolTable the machine's match index is interned
-  /// into; pass the pipeline's shared table (MultiQueryEngine::symbols())
-  /// when the machine will run under shared dispatch, or null to give the
-  /// machine a private table. Must outlive the machine when non-null.
+  /// into: the table of the MultiQueryEngine that will run the machine
+  /// (MultiQueryEngine::symbols()). Must be non-null and outlive the
+  /// machine.
   static Result<BuiltMachine> Build(std::string_view xpath,
                                     ResultHandler* results,
-                                    TwigMachine::Options options = {},
-                                    SymbolTable* symbols = nullptr);
+                                    TwigMachine::Options options,
+                                    SymbolTable* symbols);
 
   /// Builds a machine from an already compiled query (takes ownership).
   static Result<BuiltMachine> Build(std::unique_ptr<xpath::Query> query,
                                     ResultHandler* results,
-                                    TwigMachine::Options options = {},
-                                    SymbolTable* symbols = nullptr);
+                                    TwigMachine::Options options,
+                                    SymbolTable* symbols);
 };
 
 }  // namespace vitex::twigm

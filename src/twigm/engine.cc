@@ -11,33 +11,18 @@ Result<Engine> Engine::Create(std::string_view xpath,
 
 Result<Engine> Engine::Create(std::string_view xpath, ResultHandler* results,
                               Options options) {
-  // The parser resolves tag/attribute names against the machine's symbol
-  // table once per event; the machine then matches by integer id only. A
-  // caller-supplied table (options.sax.symbols) is honored — the machine is
-  // built against it — so tables can be shared across pipelines.
-  VITEX_ASSIGN_OR_RETURN(
-      BuiltMachine built,
-      TwigMBuilder::Build(xpath, results, options.machine,
-                          options.sax.symbols));
-  auto built_ptr = std::make_unique<BuiltMachine>(std::move(built));
-  options.sax.symbols = built_ptr->machine().mutable_symbols();
-  auto sax = std::make_unique<xml::SaxParser>(&built_ptr->machine(),
-                                              options.sax);
-  return Engine(std::move(built_ptr), std::move(sax));
-}
-
-Status Engine::Feed(std::string_view chunk) { return sax_->Feed(chunk); }
-
-Status Engine::Finish() { return sax_->Finish(); }
-
-void Engine::ResetStream() {
-  sax_->Reset();
-  built_->machine().Reset();
-}
-
-Status Engine::RunString(std::string_view document) {
-  VITEX_RETURN_IF_ERROR(Feed(document));
-  return Finish();
+  // Compiling the plain path here (rather than AddQuery) is what rejects
+  // unions. A caller-supplied table (options.sax.symbols) becomes the
+  // engine's, so tables can be shared across pipelines.
+  MultiQueryEngine::Options engine_options;
+  engine_options.share_plans = false;
+  auto engine =
+      std::make_unique<MultiQueryEngine>(options.sax, engine_options);
+  VITEX_ASSIGN_OR_RETURN(BuiltMachine built,
+                         TwigMBuilder::Build(xpath, results, options.machine,
+                                             engine->symbols()));
+  VITEX_ASSIGN_OR_RETURN(QueryId id, engine->AddBuilt(std::move(built)));
+  return Engine(std::move(engine), id);
 }
 
 Status Engine::RunFile(const std::string& path, size_t chunk_bytes) {

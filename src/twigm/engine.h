@@ -13,12 +13,13 @@
 //   engine->Finish();
 //   for (const auto& r : results.results()) { ... }
 //
-// Create() binds the SAX parser to the machine's SymbolTable: tag and
-// attribute names are interned once per event and the machine matches by
-// dense symbol id (DESIGN.md §3). Results carry parser-stamped document-
-// order sequence numbers. For many standing queries over one stream, use
-// MultiQueryEngine (multi_query.h), which shares one table and one parse
-// across all of them and dispatches events only to interested machines.
+// An Engine is one subscription on a private MultiQueryEngine (plan sharing
+// off, so its machine delivers straight to `results`): single-query runs
+// take the same event path as every other subscription — the parser stamps
+// symbols and sequence numbers, and the dispatcher coalesces text and skips
+// the events the machine cannot use (DESIGN.md §3, §4). For many standing
+// queries over one stream, register them on one MultiQueryEngine
+// (multi_query.h), which shares one table and one parse across all of them.
 
 #ifndef VITEX_TWIGM_ENGINE_H_
 #define VITEX_TWIGM_ENGINE_H_
@@ -28,8 +29,8 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "twigm/builder.h"
 #include "twigm/machine.h"
+#include "twigm/multi_query.h"
 #include "twigm/result.h"
 #include "xml/sax_parser.h"
 
@@ -43,7 +44,8 @@ class Engine {
   };
 
   /// Compiles the query and assembles the pipeline. `results` must outlive
-  /// the engine (may be null to discard results).
+  /// the engine (may be null to discard results). A union query is
+  /// rejected: register it on a MultiQueryEngine.
   static Result<Engine> Create(std::string_view xpath, ResultHandler* results,
                                Options options);
   static Result<Engine> Create(std::string_view xpath, ResultHandler* results);
@@ -52,29 +54,30 @@ class Engine {
   Engine& operator=(Engine&&) = default;
 
   /// Pushes the next chunk of the XML stream.
-  Status Feed(std::string_view chunk);
+  Status Feed(std::string_view chunk) { return engine_->Feed(chunk); }
   /// Signals end of stream.
-  Status Finish();
+  Status Finish() { return engine_->Finish(); }
   /// Streams a whole file through the engine.
   Status RunFile(const std::string& path, size_t chunk_bytes = 1 << 16);
   /// Parses a whole in-memory document.
-  Status RunString(std::string_view document);
+  Status RunString(std::string_view document) {
+    return engine_->RunString(document);
+  }
 
   /// Prepares the engine for a new document with the same query.
-  void ResetStream();
+  void ResetStream() { engine_->ResetStream(); }
 
-  const xpath::Query& query() const { return built_->query(); }
-  const TwigMachine& machine() const { return built_->machine(); }
-  TwigMachine& machine() { return built_->machine(); }
-  const xml::SaxParser& sax() const { return *sax_; }
+  const xpath::Query& query() const { return engine_->query(id_); }
+  const TwigMachine& machine() const { return engine_->machine(id_); }
 
  private:
-  Engine(std::unique_ptr<BuiltMachine> built,
-         std::unique_ptr<xml::SaxParser> sax)
-      : built_(std::move(built)), sax_(std::move(sax)) {}
+  Engine(std::unique_ptr<MultiQueryEngine> engine, QueryId id)
+      : engine_(std::move(engine)), id_(id) {}
 
-  std::unique_ptr<BuiltMachine> built_;
-  std::unique_ptr<xml::SaxParser> sax_;
+  // Heap-held: the dispatcher and parser point back into the engine, so it
+  // must not move with the Engine value.
+  std::unique_ptr<MultiQueryEngine> engine_;
+  QueryId id_;
 };
 
 }  // namespace vitex::twigm

@@ -10,26 +10,15 @@ namespace vitex::twigm {
 using xpath::Axis;
 using xpath::QueryNode;
 
-TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results)
-    : TwigMachine(query, results, Options(), nullptr) {}
-
-TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
-                         Options options)
-    : TwigMachine(query, results, options, nullptr) {}
-
 TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
                          Options options, SymbolTable* symbols)
-    : query_(query),
-      results_(results),
+    : results_(results),
       options_(options),
       symbols_(symbols),
       candidates_(&memory_) {
-  if (symbols_ == nullptr) {
-    owned_symbols_ = std::make_unique<SymbolTable>();
-    symbols_ = owned_symbols_.get();
-  }
-  nodes_.resize(query_->size());
-  for (const auto& qn : query_->nodes()) {
+  assert(symbols != nullptr);
+  nodes_.resize(query->size());
+  for (const auto& qn : query->nodes()) {
     MachineNode& m = nodes_[qn->id];
     m.query = qn.get();
     m.parent_id = qn->parent == nullptr ? -1 : qn->parent->id;
@@ -38,7 +27,8 @@ TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
       attribute_node_symbols_.push_back(
           qn->test == xpath::NodeTestKind::kWildcard
               ? kNoSymbol
-              : symbols_->Intern(qn->name));
+              : symbols->Intern(qn->name));
+      if (qn->parent == nullptr) has_bare_attributes_ = true;
       if (qn->parent == nullptr || qn->descendant_attribute) {
         has_unanchored_attributes_ = true;
       }
@@ -50,7 +40,7 @@ TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
     } else {
       // Intern the name test once; from here on the machine never touches
       // the query's string storage on the hot path.
-      Symbol sym = symbols_->Intern(qn->name);
+      Symbol sym = symbols->Intern(qn->name);
       auto it = std::find_if(
           element_index_.begin(), element_index_.end(),
           [sym](const auto& entry) { return entry.first == sym; });
@@ -63,24 +53,24 @@ TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
   }
   std::sort(element_index_.begin(), element_index_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  output_is_element_ = query_->output()->IsElementNode();
+  output_is_element_ = query->output()->IsElementNode();
 
   // Shared-plan shape: parameter slots in preorder (the numbering
   // xpath::Canonicalize uses), the parametric closure (a node whose subtree
   // contains a slot has per-group satisfaction), and each node's
   // parametric-child -> pmasks-slot map. Cheap and static, so computed
   // unconditionally; it only takes effect under BindPlan.
-  param_slot_of_node_.assign(query_->size(), -1);
-  parametric_.assign(query_->size(), 0);
-  for (const auto& qn : query_->nodes()) {
+  param_slot_of_node_.assign(query->size(), -1);
+  parametric_.assign(query->size(), 0);
+  for (const auto& qn : query->nodes()) {
     if (qn->value_op != xpath::CompareOp::kNone) {
       param_slot_of_node_[qn->id] = static_cast<int>(param_slot_count_++);
       parametric_[qn->id] = 1;
     }
   }
   // Ids are preorder, so a reverse sweep sees children before parents.
-  for (size_t i = query_->size(); i-- > 0;) {
-    const QueryNode* qn = query_->nodes()[i].get();
+  for (size_t i = query->size(); i-- > 0;) {
+    const QueryNode* qn = query->nodes()[i].get();
     if (parametric_[qn->id] && qn->parent != nullptr) {
       parametric_[qn->parent->id] = 1;
     }
@@ -145,11 +135,9 @@ void TwigMachine::Reset() {
   stats_ = MachineStats();
   memory_ = MemoryTracker();
   live_entries_ = 0;
-  pending_text_.Clear();
   recordings_size_ = 0;
   completed_fragment_.clear();
   has_completed_fragment_ = false;
-  sequence_counter_ = 0;
 }
 
 Status TwigMachine::StartDocument() {
@@ -435,34 +423,20 @@ void TwigMachine::RecordingsOnEnd(std::string_view name, int depth) {
 // Event processing.
 // ---------------------------------------------------------------------------
 
-Status TwigMachine::StartElement(const xml::StartElementEvent& event) {
-  VITEX_RETURN_IF_ERROR(FlushText());
+Status TwigMachine::StartElement(const xml::StartElementEvent& event,
+                                 Symbol symbol) {
   ++stats_.start_events;
-  // Sequence numbering is query-independent: one number for the element,
-  // then one per attribute (matched or not), so machines running different
-  // queries over the same stream assign identical document-order keys.
-  // Producers that stamp sequences (the SAX parser) follow the same rule;
-  // their numbers are authoritative — a dispatcher may have skipped events
-  // for this machine, in which case the internal counter is meaningless.
-  uint64_t seq;
-  if (event.sequence != xml::kNoSequence) {
-    seq = event.sequence;
-  } else {
-    seq = sequence_counter_;
-    sequence_counter_ += 1 + event.attributes.size();
-  }
+  // The parser's sequence numbering is query-independent (one number for
+  // the element, then one per attribute), so a machine that was skipped for
+  // some events still agrees with every other machine on document order.
+  assert(event.sequence != xml::kNoSequence);
+  uint64_t seq = event.sequence;
   int level = event.depth;
-
-  // Resolve the tag to a symbol: stamped by the producer when it shares our
-  // table (kAbsentSymbol marks a producer-side miss — no point re-hashing),
-  // otherwise one hash here.
-  Symbol sym = event.symbol;
-  if (sym == kNoSymbol) sym = symbols_->Lookup(event.name);
 
   // Collect matching element machine nodes in id (preorder) order so parent
   // pushes land before child axis checks.
   match_scratch_.clear();
-  if (const std::vector<int>* matches = FindElementMatches(sym)) {
+  if (const std::vector<int>* matches = FindElementMatches(symbol)) {
     match_scratch_ = *matches;
   }
   if (!element_wildcards_.empty()) {
@@ -559,46 +533,16 @@ Status TwigMachine::ProcessAttributes(const xml::StartElementEvent& event,
   return Status::OK();
 }
 
-Status TwigMachine::Characters(std::string_view text, int depth) {
-  return Text(xml::TextEvent{text, depth, xml::kNoSequence});
-}
-
-Status TwigMachine::Text(const xml::TextEvent& event) {
-  // Coalesce adjacent character events (chunk boundaries, CDATA seams) so a
-  // text node is evaluated exactly once, whole.
-  pending_text_.Append(event);
-  memory_.Add(event.text.size());
-  return CheckMemoryLimit();
-}
-
-Status TwigMachine::FlushText() {
-  if (pending_text_.empty()) return Status::OK();
-  // Swap rather than move: the coalescer keeps the scratch's old capacity
-  // for the next text node, so neither buffer reallocates in steady state.
-  text_node_scratch_.swap(pending_text_.buffer);
-  int depth = pending_text_.depth;
-  uint64_t seq = pending_text_.sequence != xml::kNoSequence
-                     ? pending_text_.sequence
-                     : sequence_counter_++;
-  pending_text_.Clear();
-  memory_.Release(text_node_scratch_.size());
-  RecordingsOnText(text_node_scratch_);
-  return ProcessTextNode(text_node_scratch_, depth, seq);
-}
-
 Status TwigMachine::TextNode(std::string_view text, int depth,
                              uint64_t sequence) {
-  VITEX_RETURN_IF_ERROR(FlushText());  // no-op under central coalescing
-  uint64_t seq =
-      sequence != xml::kNoSequence ? sequence : sequence_counter_++;
+  assert(sequence != xml::kNoSequence);
   // Charge the node against this machine's budget while it is processed,
-  // exactly as the buffering path does, so live state + text still honors
-  // the configured ceiling under central coalescing.
+  // so live state + text honors the configured ceiling.
   memory_.Add(text.size());
   Status status = CheckMemoryLimit();
   if (status.ok()) {
     RecordingsOnText(text);
-    status = ProcessTextNode(text, depth, seq);
+    status = ProcessTextNode(text, depth, sequence);
   }
   memory_.Release(text.size());
   return status;
@@ -672,7 +616,6 @@ Status TwigMachine::ProcessTextNode(std::string_view text, int depth,
 }
 
 Status TwigMachine::EndElement(std::string_view name, int depth) {
-  VITEX_RETURN_IF_ERROR(FlushText());
   ++stats_.end_events;
   RecordingsOnEnd(name, depth);
 
@@ -774,7 +717,6 @@ void TwigMachine::DropCandidates(StackEntry& entry) {
 }
 
 Status TwigMachine::EndDocument() {
-  VITEX_RETURN_IF_ERROR(FlushText());
   for (const MachineNode& node : nodes_) {
     // A stale stack (untouched this document) is logically empty.
     if (node.stack_gen == generation_ && node.stack_size != 0) {

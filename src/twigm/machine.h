@@ -29,7 +29,6 @@
 #define VITEX_TWIGM_MACHINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -111,7 +110,9 @@ struct MachineNode {
   int pchild_count = 0;
 };
 
-/// Counters for the machine's work (drive the complexity experiments).
+/// Counters for the machine's work (drive the complexity experiments). The
+/// event counts are the events dispatched to this machine: the dispatcher
+/// skips tags and text nodes no query node could use (DESIGN.md §4).
 struct MachineStats {
   uint64_t start_events = 0;
   uint64_t end_events = 0;
@@ -128,9 +129,12 @@ struct MachineStats {
   uint64_t peak_stack_entries = 0;
 };
 
-/// The TwigM machine. It is an xml::ContentHandler: connect it directly to a
-/// SaxParser (or any event source) and read results from the ResultHandler.
-class TwigMachine : public xml::ContentHandler {
+/// The TwigM machine. Only MultiQueryEngine's dispatcher drives it: it
+/// hands the machine the events it can use, with tag names resolved to
+/// symbols, sequence numbers stamped by the parser and character data
+/// coalesced into whole text nodes. Results go to the ResultHandler (or,
+/// under a shared plan, the GroupResultSink).
+class TwigMachine {
  public:
   struct Options {
     /// Abort with ResourceExhausted when live engine memory exceeds this
@@ -143,35 +147,14 @@ class TwigMachine : public xml::ContentHandler {
   ///        symbol table up front), so moving the Query *object* elsewhere —
   ///        as BuiltMachine does — is safe; the nodes it owns stay put.
   /// @param results must outlive the machine; may be null to discard.
-  /// @param symbols the SymbolTable the machine's match index is built
-  ///        against; must outlive the machine. When null, the machine owns a
-  ///        private table. Incoming events whose `symbol` fields were
-  ///        resolved against a *different* table must not be fed to this
-  ///        machine (ids would alias); unstamped events are always fine —
-  ///        the machine falls back to one Lookup per event.
-  TwigMachine(const xpath::Query* query, ResultHandler* results);
-  TwigMachine(const xpath::Query* query, ResultHandler* results,
-              Options options);
+  /// @param symbols the SymbolTable the machine's query names are interned
+  ///        into: the dispatching engine's table, whose ids the dispatcher
+  ///        hands over with every tag. Must outlive the machine.
   TwigMachine(const xpath::Query* query, ResultHandler* results,
               Options options, SymbolTable* symbols);
 
   TwigMachine(const TwigMachine&) = delete;
   TwigMachine& operator=(const TwigMachine&) = delete;
-
-  // --- ContentHandler interface ------------------------------------------
-  Status StartDocument() override;
-  Status StartElement(const xml::StartElementEvent& event) override;
-  Status EndElement(std::string_view name, int depth) override;
-  Status Characters(std::string_view text, int depth) override;
-  Status Text(const xml::TextEvent& event) override;
-  Status EndDocument() override;
-
-  // --- Dispatch interface (MultiQueryEngine) -----------------------------
-  /// Delivers one whole, already-coalesced text node. Used by dispatchers
-  /// that coalesce character data centrally instead of sending every piece
-  /// to every machine. `sequence` must be the producer-stamped number of the
-  /// node (kNoSequence falls back to the internal counter).
-  Status TextNode(std::string_view text, int depth, uint64_t sequence);
 
   // --- Shared-plan interface (MultiQueryEngine, DESIGN.md §7) ------------
   /// Binds this machine to a shared plan: value comparisons on slot nodes
@@ -200,9 +183,8 @@ class TwigMachine : public xml::ContentHandler {
   bool output_is_element() const { return output_is_element_; }
 
   // --- Introspection -------------------------------------------------------
-  /// The symbol table the match index is built against (owned or borrowed).
+  /// The symbol table the match index is built against.
   const SymbolTable& symbols() const { return *symbols_; }
-  SymbolTable* mutable_symbols() { return symbols_; }
   /// True if the query tests any element with '*' (dispatchers must
   /// broadcast every element event to this machine).
   bool has_element_wildcard() const { return !element_wildcards_.empty(); }
@@ -215,6 +197,9 @@ class TwigMachine : public xml::ContentHandler {
   /// step ("//@id", "//a//@id"): the machine must see every element event
   /// that carries attributes.
   bool has_unanchored_attributes() const { return has_unanchored_attributes_; }
+  /// True if the query's root step selects attributes ("//@id"): they match
+  /// with no context entry open.
+  bool has_bare_attributes() const { return has_bare_attributes_; }
   /// The machine's element match index: (tag symbol → query node ids),
   /// sorted by symbol. Dispatchers read the keys to build postings.
   const std::vector<std::pair<Symbol, std::vector<int>>>& element_index()
@@ -230,7 +215,6 @@ class TwigMachine : public xml::ContentHandler {
     return nodes_[static_cast<size_t>(id)].parent_id < 0;
   }
 
-  const xpath::Query& query() const { return *query_; }
   const Options& options() const { return options_; }
   const MachineStats& stats() const { return stats_; }
   const CandidateStats& candidate_stats() const { return candidates_.stats(); }
@@ -240,13 +224,26 @@ class TwigMachine : public xml::ContentHandler {
   /// Multi-line dump of every machine node's stack (debugging).
   std::string DebugString() const;
 
-  /// Resets all run state (stacks, candidates, counters) for a new
-  /// document. O(1): bumps the document generation, which lazily
-  /// invalidates every node stack and candidate slot while all their heap
-  /// capacity stays pooled (DESIGN.md §12).
-  void Reset();
-
  private:
+  // The event interface. Only the dispatcher drives a machine (see the
+  // class comment); events it skips are ones no query node could use.
+  friend class MultiQueryEngine;
+  // Resets all run state (stacks, candidates, counters) for a new
+  // document. O(1): bumps the document generation, which lazily
+  // invalidates every node stack and candidate slot while all their heap
+  // capacity stays pooled (DESIGN.md §12).
+  void Reset();
+  Status StartDocument();
+  // `symbol` is the tag's id in symbols(), resolved once by the dispatcher
+  // (kAbsentSymbol for a tag the table lacks). `event.sequence` must be
+  // stamped.
+  Status StartElement(const xml::StartElementEvent& event, Symbol symbol);
+  Status EndElement(std::string_view name, int depth);
+  // Delivers one whole, already-coalesced text node with its stamped
+  // sequence number.
+  Status TextNode(std::string_view text, int depth, uint64_t sequence);
+  Status EndDocument();
+
   // A fragment being recorded for an open match of the output element node.
   struct Recording {
     int level = 0;
@@ -254,8 +251,6 @@ class TwigMachine : public xml::ContentHandler {
     bool start_tag_open = false;
   };
 
-  // Processes buffered character data as one complete text node.
-  Status FlushText();
   Status ProcessTextNode(std::string_view text, int depth, uint64_t sequence);
   Status ProcessAttributes(const xml::StartElementEvent& event,
                            uint64_t element_seq);
@@ -321,14 +316,10 @@ class TwigMachine : public xml::ContentHandler {
 
   Status CheckMemoryLimit() const;
 
-  const xpath::Query* query_;
   ResultHandler* results_;
   Options options_;
-
-  // The table query name tests were interned into; borrowed from the
-  // pipeline (shared dispatch) or owned privately.
-  SymbolTable* symbols_ = nullptr;
-  std::unique_ptr<SymbolTable> owned_symbols_;
+  // The table query name tests were interned into (the engine's).
+  const SymbolTable* symbols_;
 
   std::vector<MachineNode> nodes_;  // indexed by query node id
   // Match index: (tag symbol → query node ids in preorder), sorted by
@@ -347,6 +338,7 @@ class TwigMachine : public xml::ContentHandler {
   bool output_is_element_ = false;
   bool has_bare_text_ = false;
   bool has_unanchored_attributes_ = false;
+  bool has_bare_attributes_ = false;
 
   // Shared-plan state (null/empty for single-query machines).
   const PlanBindings* bindings_ = nullptr;
@@ -367,11 +359,6 @@ class TwigMachine : public xml::ContentHandler {
   MachineStats stats_;
   size_t live_entries_ = 0;
 
-  // Text coalescing: adjacent Characters events merge into one text node
-  // (sequence stays kNoSequence for unstamped pieces; the internal counter
-  // applies at flush).
-  xml::TextCoalescer pending_text_;
-
   // Recordings are pooled like the stacks: entries [0, recordings_size_)
   // are live, slots above retain their buffer capacity.
   std::vector<Recording> recordings_;
@@ -383,14 +370,12 @@ class TwigMachine : public xml::ContentHandler {
   // nodes' default stack_gen of 0 so a fresh machine has only stale stacks.
   uint64_t generation_ = 1;
 
-  uint64_t sequence_counter_ = 0;
   std::vector<int> match_scratch_;
   // Pooled scratch buffers for the serialization path (tag assembly, text
-  // escaping, coalesced text nodes) — members instead of locals so their
-  // capacity survives across events.
+  // escaping) — members instead of locals so their capacity survives across
+  // events.
   std::string tag_scratch_;
   std::string text_escape_scratch_;
-  std::string text_node_scratch_;
 };
 
 }  // namespace vitex::twigm

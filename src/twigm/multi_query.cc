@@ -485,7 +485,7 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
     mi.wants_text = m.has_text_nodes();
     mi.bare_text = m.has_bare_text();
     mi.wants_attributes = m.has_unanchored_attributes();
-    mi.bare_attributes = m.query().root()->IsAttributeNode();
+    mi.bare_attributes = m.has_bare_attributes();
     mi.output_is_element = m.output_is_element();
     for (const auto& entry : m.element_index()) {
       // Query names were interned at build time, before any document tag,
@@ -660,8 +660,9 @@ Status MultiQueryEngine::Dispatcher::StartElement(
   VITEX_RETURN_IF_ERROR(FlushTextNode());
   // The engine's own parser always stamps (symbol or kAbsentSymbol).
   // Unstamped events only arrive from replayed logs recorded without our
-  // table; resolve them here so dispatch matches the parse path. (Stamped
-  // replay — the StreamService path — never touches the table.)
+  // table; resolve them here, once for dispatch and every machine, so
+  // replay matches the parse path. (Stamped replay — the StreamService
+  // path — never touches the table.)
   Symbol symbol = event.symbol;
   if (symbol == kNoSymbol) symbol = owner_->symbols_->Lookup(event.name);
   open_symbols_.push_back(symbol);
@@ -670,7 +671,7 @@ Status MultiQueryEngine::Dispatcher::StartElement(
   owner_->dispatch_stats_.start_visits += targets_.size();
   for (uint32_t i : targets_) {
     VITEX_RETURN_IF_ERROR(TouchMachine(i));
-    VITEX_RETURN_IF_ERROR(machine(i).StartElement(event));
+    VITEX_RETURN_IF_ERROR(machine(i).StartElement(event, symbol));
     if (info_[i].output_is_element) SyncRecorder(i);
   }
   return Status::OK();
@@ -700,10 +701,9 @@ Status MultiQueryEngine::Dispatcher::Text(const xml::TextEvent& event) {
   if (text_machines_.empty() && active_recorders_.empty()) {
     return Status::OK();
   }
-  // Central coalescing: pieces merge here once instead of in every machine;
-  // the node is dispatched whole at the next tag boundary. Long runs arrive
-  // in bounded pieces, so the buffer — like each machine's own under
-  // per-machine buffering — must honor the configured memory ceiling.
+  // Central coalescing: pieces merge here once, and the node is dispatched
+  // whole at the next tag boundary. Long runs arrive in bounded pieces, so
+  // the buffer must honor the configured memory ceiling.
   pending_text_.Append(event);
   if (min_memory_limit_ != 0 &&
       pending_text_.buffer.size() > min_memory_limit_) {

@@ -63,6 +63,7 @@
 #ifndef VITEX_TWIGM_MULTI_QUERY_H_
 #define VITEX_TWIGM_MULTI_QUERY_H_
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -358,6 +359,36 @@ class MultiQueryEngine {
     const uint64_t* doc_generation() const { return &doc_gen_; }
 
    private:
+    // Merges the pieces of one text node back into a whole: all pieces
+    // delivered between two tag events are one node, at one depth, with
+    // the first piece's sequence number (every piece of a node carries the
+    // same stamp).
+    struct TextCoalescer {
+      std::string buffer;
+      int depth = -1;
+      uint64_t sequence = xml::kNoSequence;
+
+      bool empty() const { return buffer.empty(); }
+
+      void Append(const xml::TextEvent& event) {
+        if (buffer.empty()) {
+          buffer.assign(event.text);
+          depth = event.depth;
+          sequence = event.sequence;
+        } else {
+          // Depth cannot change without an intervening tag, which flushes.
+          assert(event.depth == depth);
+          buffer.append(event.text);
+        }
+      }
+
+      void Clear() {
+        buffer.clear();
+        depth = -1;
+        sequence = xml::kNoSequence;
+      }
+    };
+
     // Per-machine dispatch subscriptions, derived from the query shape.
     struct MachineInfo {
       bool broadcast_elements = false;  // '*' test: every tag event
@@ -432,11 +463,10 @@ class MultiQueryEngine {
     // symbol; the matching start did).
     std::vector<Symbol> open_symbols_;
 
-    // Central text coalescing: one buffer for the whole engine instead of
-    // one per machine. Bounded by the strictest registered machine memory
-    // limit — under per-machine buffering every machine charged the text
-    // against its own budget, so the strictest one failed first.
-    xml::TextCoalescer pending_text_;
+    // Central text coalescing: one buffer for the whole engine, bounded by
+    // the strictest registered machine memory limit (as if every machine
+    // charged the buffered text against its own budget).
+    TextCoalescer pending_text_;
     size_t min_memory_limit_ = 0;  // 0 = no machine has a limit
   };
 

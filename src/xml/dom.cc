@@ -155,16 +155,8 @@ Status DomBuilder::EndElement(std::string_view name, int depth) {
   return Status::OK();
 }
 
-Status DomBuilder::Characters(std::string_view text, int depth) {
-  (void)depth;
-  return AppendText(text, kNoSequence);
-}
-
 Status DomBuilder::Text(const TextEvent& event) {
-  return AppendText(event.text, event.sequence);
-}
-
-Status DomBuilder::AppendText(std::string_view text, uint64_t sequence) {
+  std::string_view text = event.text;
   // Coalesce adjacent text nodes so chunk boundaries are invisible in the
   // tree. Arena strings are immutable, so adjacent runs concatenate into a
   // fresh arena copy only when needed. Pieces of one node share the first
@@ -181,7 +173,7 @@ Status DomBuilder::AppendText(std::string_view text, uint64_t sequence) {
   DomNode* tn = doc_.NewNode(NodeKind::kText);
   tn->value = doc_.arena()->CopyString(text);
   tn->depth = current_->depth + 1;
-  tn->order = sequence != kNoSequence ? sequence : next_order_++;
+  tn->order = event.sequence != kNoSequence ? event.sequence : next_order_++;
   Append(current_, tn);
   return Status::OK();
 }

@@ -110,7 +110,6 @@ class DomBuilder : public ContentHandler {
 
   Status StartElement(const StartElementEvent& event) override;
   Status EndElement(std::string_view name, int depth) override;
-  Status Characters(std::string_view text, int depth) override;
   Status Text(const TextEvent& event) override;
   Status EndDocument() override;
 
@@ -124,7 +123,6 @@ class DomBuilder : public ContentHandler {
   bool done_ = false;
 
   void Append(DomNode* parent, DomNode* child);
-  Status AppendText(std::string_view text, uint64_t sequence);
 };
 
 /// Parses an in-memory document into a DOM.

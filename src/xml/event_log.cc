@@ -97,13 +97,6 @@ Status EventRecorder::EndElement(std::string_view name, int depth) {
   return Status::OK();
 }
 
-Status EventRecorder::Characters(std::string_view text, int depth) {
-  TextEvent event;
-  event.text = text;
-  event.depth = depth;
-  return Text(event);
-}
-
 Status EventRecorder::Text(const TextEvent& event) {
   EventLog::Event e;
   e.kind = EventLog::Kind::kText;

@@ -92,9 +92,6 @@ class EventRecorder : public ContentHandler {
 
   Status StartElement(const StartElementEvent& event) override;
   Status EndElement(std::string_view name, int depth) override;
-  // Both text entry points record; sequence-stamped producers deliver via
-  // Text, unstamped ones via Characters (recorded with kNoSequence).
-  Status Characters(std::string_view text, int depth) override;
   Status Text(const TextEvent& event) override;
 
  private:

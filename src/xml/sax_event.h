@@ -1,5 +1,6 @@
 // SAX event model: the contract between the SAX parser and every consumer
-// (TwigM, the DOM builder, the baselines).
+// (the TwigM dispatcher, the DOM builder, the event recorder, the
+// baselines).
 //
 // This mirrors the expat/SAX2 event set the original ViteX consumed, reduced
 // to what streaming XPath needs: start/end element with attributes and depth,
@@ -8,9 +9,7 @@
 #ifndef VITEX_XML_SAX_EVENT_H_
 #define VITEX_XML_SAX_EVENT_H_
 
-#include <cassert>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -71,38 +70,6 @@ struct TextEvent {
   uint64_t sequence = kNoSequence;
 };
 
-/// Merges the pieces of one text node back into a whole. The rule is the
-/// same for every consumer (TwigMachine, the multi-query dispatcher): all
-/// pieces delivered between two tag events are one node, at one depth, and
-/// the node's sequence number is the first piece's. Keeping the state
-/// machine in one place keeps single-query and dispatched evaluation from
-/// drifting apart.
-struct TextCoalescer {
-  std::string buffer;
-  int depth = -1;
-  uint64_t sequence = kNoSequence;
-
-  bool empty() const { return buffer.empty(); }
-
-  void Append(const TextEvent& event) {
-    if (buffer.empty()) {
-      buffer.assign(event.text);
-      depth = event.depth;
-      sequence = event.sequence;
-    } else {
-      // Depth cannot change without an intervening tag, which flushes.
-      assert(event.depth == depth);
-      buffer.append(event.text);
-    }
-  }
-
-  void Clear() {
-    buffer.clear();
-    depth = -1;
-    sequence = kNoSequence;
-  }
-};
-
 /// Receiver interface for SAX events.
 ///
 /// Any callback may return a non-OK Status to abort the parse; the parser
@@ -134,24 +101,16 @@ class ContentHandler {
 
   /// Called for character data between tags, already entity-decoded.
   /// May be called multiple times for one text node (chunk boundaries,
-  /// CDATA sections, entity boundaries); `depth` is the depth of the
-  /// enclosing element.
-  virtual Status Characters(std::string_view text, int depth) {
-    (void)text;
-    (void)depth;
+  /// CDATA sections, entity boundaries); every piece of the node carries
+  /// the node's sequence number, and `depth` is the depth of the enclosing
+  /// element.
+  virtual Status Text(const TextEvent& event) {
+    (void)event;
     return Status::OK();
   }
 
-  /// The sequence-aware form of Characters. Producers that stamp sequence
-  /// numbers (the SAX parser) deliver text through this entry point; the
-  /// default implementation forwards to Characters so existing handlers are
-  /// unaffected. Override this instead of Characters to observe sequences.
-  virtual Status Text(const TextEvent& event) {
-    return Characters(event.text, event.depth);
-  }
-
   /// Called for processing instructions `<?target data?>`. Ignored by
-  /// default; exposed so tooling (e.g. the pretty-printer) can round-trip.
+  /// default.
   virtual Status ProcessingInstruction(std::string_view target,
                                        std::string_view data) {
     (void)target;

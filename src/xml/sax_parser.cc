@@ -105,7 +105,7 @@ Status SaxParser::CheckName(std::string_view name, const char* what) const {
   if (name.empty()) {
     return Status::ParseError(std::string("empty ") + what + " name");
   }
-  if (options_.validate_names && !IsValidXmlName(name)) {
+  if (!IsValidXmlName(name)) {
     return Status::ParseError(std::string("invalid ") + what + " name '" +
                               std::string(name) + "'");
   }
@@ -486,13 +486,11 @@ Status SaxParser::HandleStartTag(std::string_view body, uint64_t offset) {
     }
     raw_attrs.push_back(RawAttr{attr_name, value, decoded_index});
   }
-  if (options_.reject_duplicate_attributes) {
-    for (size_t a = 0; a < raw_attrs.size(); ++a) {
-      for (size_t b = a + 1; b < raw_attrs.size(); ++b) {
-        if (raw_attrs[a].name == raw_attrs[b].name) {
-          return ErrorAt(offset, "duplicate attribute '" +
-                                     std::string(raw_attrs[a].name) + "'");
-        }
+  for (size_t a = 0; a < raw_attrs.size(); ++a) {
+    for (size_t b = a + 1; b < raw_attrs.size(); ++b) {
+      if (raw_attrs[a].name == raw_attrs[b].name) {
+        return ErrorAt(offset, "duplicate attribute '" +
+                                   std::string(raw_attrs[a].name) + "'");
       }
     }
   }

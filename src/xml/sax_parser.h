@@ -50,13 +50,6 @@ struct SaxParserOptions {
   /// limit yields ResourceExhausted (guards against adversarial streams).
   size_t max_depth = 100000;
 
-  /// When true (default), element and attribute names are validated against
-  /// XML name rules; when false any non-space run is accepted (faster).
-  bool validate_names = true;
-
-  /// Reject duplicate attributes on one element (default true, per XML 1.0).
-  bool reject_duplicate_attributes = true;
-
   /// When non-null, element and attribute names are resolved against this
   /// SymbolTable once per event and stamped into StartElementEvent::symbol /
   /// Attribute::symbol, so consumers sharing the table never hash name text
@@ -129,9 +122,6 @@ class SaxParser {
   Symbol ResolveSymbol(std::string_view name) const;
   Status ErrorAt(uint64_t offset, std::string msg) const;
 
-  // Byte offset in the overall stream of buf_[0].
-  uint64_t BaseOffset() const { return consumed_total_ - pos_zero_adjust_; }
-
   ContentHandler* handler_;
   SaxParserOptions options_;
   SaxParserStats stats_;
@@ -139,7 +129,6 @@ class SaxParser {
   std::string buf_;     // unconsumed input (plus a consumed prefix < pos_)
   size_t pos_ = 0;      // first unconsumed byte in buf_
   uint64_t consumed_total_ = 0;  // bytes of the stream already cut from buf_
-  uint64_t pos_zero_adjust_ = 0;  // unused; kept 0 (see BaseOffset)
 
   /// Text runs shorter than this are buffered whole before delivery, so
   /// whitespace handling and entity decoding are chunking-invariant; longer

@@ -111,35 +111,4 @@ std::string PredExprToString(const PredExpr& e) {
   return "?";
 }
 
-Path ClonePath(const Path& path) {
-  Path out;
-  out.absolute = path.absolute;
-  out.steps.reserve(path.steps.size());
-  for (const Step& s : path.steps) {
-    Step copy;
-    copy.axis = s.axis;
-    copy.test = s.test;
-    copy.name = s.name;
-    copy.descendant_attribute = s.descendant_attribute;
-    for (const auto& p : s.predicates) {
-      copy.predicates.push_back(ClonePredExpr(*p));
-    }
-    out.steps.push_back(std::move(copy));
-  }
-  return out;
-}
-
-std::unique_ptr<PredExpr> ClonePredExpr(const PredExpr& e) {
-  auto out = std::make_unique<PredExpr>();
-  out->kind = e.kind;
-  out->path = ClonePath(e.path);
-  out->op = e.op;
-  out->literal = e.literal;
-  out->number = e.number;
-  out->literal_is_number = e.literal_is_number;
-  if (e.left != nullptr) out->left = ClonePredExpr(*e.left);
-  if (e.right != nullptr) out->right = ClonePredExpr(*e.right);
-  return out;
-}
-
 }  // namespace vitex::xpath

@@ -95,10 +95,6 @@ struct PredExpr {
 std::string PathToString(const Path& path);
 std::string PredExprToString(const PredExpr& expr);
 
-/// Deep copies (the AST is move-only by default because of unique_ptr).
-Path ClonePath(const Path& path);
-std::unique_ptr<PredExpr> ClonePredExpr(const PredExpr& expr);
-
 }  // namespace vitex::xpath
 
 #endif  // VITEX_XPATH_AST_H_

@@ -1,6 +1,6 @@
 // The randomized differential sweep — the acceptance bar for this harness:
 // thousands of seeded (query, document) cross-checks through all five
-// routes (DomEvaluator ground truth, single TwigMachine, MultiQueryEngine
+// routes (DomEvaluator ground truth, single-query Engine, MultiQueryEngine
 // with per-query machines and co-registered decoys, StreamService replay
 // across 1..4 shards, and the shared-plan MultiQueryEngine with hash-consed
 // skeletons) over the four workload generators plus the markup-rich random

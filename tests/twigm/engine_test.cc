@@ -108,23 +108,28 @@ TEST(BuilderTest, BuildFromPrecompiledQuery) {
   auto compiled = xpath::ParseAndCompile("//a[b]");
   ASSERT_TRUE(compiled.ok());
   auto query = std::make_unique<xpath::Query>(std::move(compiled).value());
+  SymbolTable symbols;
   VectorResultCollector results;
-  auto built = TwigMBuilder::Build(std::move(query), &results);
+  auto built = TwigMBuilder::Build(std::move(query), &results,
+                                   TwigMachine::Options(), &symbols);
   ASSERT_TRUE(built.ok()) << built.status();
   EXPECT_EQ(built->query().size(), 2u);
 }
 
 TEST(BuilderTest, NullQueryRejected) {
-  auto built =
-      TwigMBuilder::Build(std::unique_ptr<xpath::Query>(), nullptr);
+  SymbolTable symbols;
+  auto built = TwigMBuilder::Build(std::unique_ptr<xpath::Query>(), nullptr,
+                                   TwigMachine::Options(), &symbols);
   EXPECT_TRUE(built.status().IsInvalidArgument());
 }
 
 TEST(BuilderTest, MachineNodeCountEqualsQuerySize) {
   // Paper §3.1: one machine node per query node, built in linear time.
   for (const char* q : {"//a", "//a[b]", "//a[b][c]//d[e/f]//g"}) {
+    SymbolTable symbols;
     VectorResultCollector results;
-    auto built = TwigMBuilder::Build(q, &results);
+    auto built =
+        TwigMBuilder::Build(q, &results, TwigMachine::Options(), &symbols);
     ASSERT_TRUE(built.ok());
     EXPECT_GT(built->query().size(), 0u);
     // DebugString lists one "node N" line per machine node.

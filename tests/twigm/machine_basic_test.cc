@@ -4,7 +4,7 @@
 
 #include "twigm/builder.h"
 #include "twigm/engine.h"
-#include "xml/sax_parser.h"
+#include "twigm/multi_query.h"
 
 namespace vitex::twigm {
 namespace {
@@ -168,9 +168,12 @@ TEST(MachineBasicTest, StatsCountEvents) {
   auto engine = Engine::Create("//b", &results);
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE(engine->RunString("<a><b>t</b><b/></a>").ok());
+  // The stats count the events dispatched to the machine: both b tags and
+  // the text inside the first (recorded into its fragment), but not the a
+  // tags, which no query node names.
   const MachineStats& stats = engine->machine().stats();
-  EXPECT_EQ(stats.start_events, 3u);
-  EXPECT_EQ(stats.end_events, 3u);
+  EXPECT_EQ(stats.start_events, 2u);
+  EXPECT_EQ(stats.end_events, 2u);
   EXPECT_EQ(stats.text_events, 1u);
   EXPECT_EQ(stats.pushes, 2u);  // two b entries
   EXPECT_EQ(stats.results_emitted, 2u);
@@ -212,29 +215,37 @@ TEST(MachineBasicTest, EmptyResultHandlerAllowed) {
 // Regression: the pre-symbol machine indexed element tests in a map keyed by
 // string_views into query-owned storage, so the machine's correctness hung
 // on the Query staying exactly where it was built. Name tests are now
-// interned into the machine's SymbolTable at construction; only the
+// interned into the engine's SymbolTable at construction; only the
 // heap-allocated QueryNode tree must stay alive, and the Query object itself
-// may be moved freely (as BuiltMachine and container reallocation do).
+// may be moved freely (as BuiltMachine and container reallocation do). The
+// dispatcher builds its index after the move, so a machine that kept a
+// pointer to the Query object would read freed memory here (ASan).
 TEST(MachineBasicTest, MachineSurvivesQueryMove) {
   auto compiled = xpath::ParseAndCompile("//entry[meta/@kind = 'x']/payload");
   ASSERT_TRUE(compiled.ok());
   auto original = std::make_unique<xpath::Query>(std::move(compiled).value());
+  MultiQueryEngine::Options private_machines;
+  private_machines.share_plans = false;
+  MultiQueryEngine engine({}, private_machines);
   VectorResultCollector results;
-  TwigMachine machine(original.get(), &results);
+  auto machine = std::make_unique<TwigMachine>(
+      original.get(), &results, TwigMachine::Options(), engine.symbols());
 
   // Move the Query value out of its original home. The moved-from shell is
   // destroyed; the QueryNode tree now lives in (and is kept alive by) the
   // new owner.
-  xpath::Query relocated = std::move(*original);
+  auto relocated = std::make_unique<xpath::Query>(std::move(*original));
   original.reset();
 
-  xml::SaxParser parser(&machine);
   ASSERT_TRUE(
-      parser
-          .Feed("<r><entry><meta kind=\"x\"/><payload>p1</payload></entry>"
-                "<entry><meta kind=\"y\"/><payload>p2</payload></entry></r>")
+      engine.AddBuilt(BuiltMachine(std::move(relocated), std::move(machine)))
           .ok());
-  ASSERT_TRUE(parser.Finish().ok());
+  ASSERT_TRUE(
+      engine
+          .RunString(
+              "<r><entry><meta kind=\"x\"/><payload>p1</payload></entry>"
+              "<entry><meta kind=\"y\"/><payload>p2</payload></entry></r>")
+          .ok());
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results.results()[0].fragment, "<payload>p1</payload>");
 }
@@ -242,20 +253,21 @@ TEST(MachineBasicTest, MachineSurvivesQueryMove) {
 // The bundled form: BuiltMachine values get moved through vectors and across
 // scopes; machines must keep matching afterwards.
 TEST(MachineBasicTest, BuiltMachineSurvivesRelocation) {
+  MultiQueryEngine engine;
   std::vector<BuiltMachine> fleet;
   std::vector<std::unique_ptr<VectorResultCollector>> handlers;
   for (int i = 0; i < 16; ++i) {
     handlers.push_back(std::make_unique<VectorResultCollector>());
     auto built = TwigMBuilder::Build("//tag_" + std::to_string(i),
-                                     handlers.back().get());
+                                     handlers.back().get(),
+                                     TwigMachine::Options(), engine.symbols());
     ASSERT_TRUE(built.ok());
     fleet.push_back(std::move(built).value());  // repeated reallocation
   }
-  for (int i = 0; i < 16; ++i) {
-    xml::SaxParser parser(&fleet[i].machine());
-    ASSERT_TRUE(parser.Feed("<r><tag_7/><tag_7/></r>").ok());
-    ASSERT_TRUE(parser.Finish().ok());
+  for (BuiltMachine& built : fleet) {
+    ASSERT_TRUE(engine.AddBuilt(std::move(built)).ok());
   }
+  ASSERT_TRUE(engine.RunString("<r><tag_7/><tag_7/></r>").ok());
   EXPECT_EQ(handlers[7]->size(), 2u);
   for (int i = 0; i < 16; ++i) {
     if (i != 7) {

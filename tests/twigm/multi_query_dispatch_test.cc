@@ -1,7 +1,7 @@
 // Tests for the multi-query dispatch index: per-symbol posting lists must
 // route each event only to interested machines (with broadcast fallbacks for
 // wildcards, unanchored attributes and open recordings), while producing
-// results identical to independent per-query Engine runs.
+// results identical to per-query Engine runs and to the DOM evaluator.
 
 #include "twigm/multi_query.h"
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "dom_reference.h"
 #include "twigm/builder.h"
 #include "twigm/engine.h"
 #include "workload/protein_generator.h"
@@ -124,6 +125,12 @@ TEST(MultiQueryDispatchTest, MixedQueriesMatchSingleEngineRunsChunked) {
       "//accinfo/@*",            // attribute wildcard
       "//zzz[never = 'seen']",   // matches nothing
   };
+  std::vector<difftest::ResultSet> reference;
+  for (const char* q : queries) {
+    auto dom = difftest::Oracle::RunDom(q, doc.value());
+    ASSERT_TRUE(dom.ok()) << dom.status();
+    reference.push_back(std::move(dom).value());
+  }
   for (size_t chunk : {1u, 7u, 4096u}) {
     MultiQueryEngine multi;
     std::vector<std::unique_ptr<VectorResultCollector>> handlers;
@@ -135,6 +142,8 @@ TEST(MultiQueryDispatchTest, MixedQueriesMatchSingleEngineRunsChunked) {
     for (size_t i = 0; i < std::size(queries); ++i) {
       EXPECT_EQ(handlers[i]->SortedFragments(),
                 SingleEngineRun(queries[i], doc.value()))
+          << "query " << queries[i] << " chunk " << chunk;
+      EXPECT_EQ(Sequenced(*handlers[i]), reference[i])
           << "query " << queries[i] << " chunk " << chunk;
     }
   }
@@ -168,7 +177,9 @@ TEST(MultiQueryDispatchTest, PerEventWorkSublinearInRegisteredQueries) {
 
 TEST(MultiQueryDispatchTest, ForeignSymbolTableMachineRejected) {
   MultiQueryEngine engine;
-  auto built = TwigMBuilder::Build("//a", nullptr);  // private table
+  SymbolTable foreign;
+  auto built =
+      TwigMBuilder::Build("//a", nullptr, TwigMachine::Options(), &foreign);
   ASSERT_TRUE(built.ok());
   auto added = engine.AddBuilt(std::move(built).value());
   EXPECT_TRUE(added.status().IsInvalidArgument());

@@ -3,7 +3,8 @@
 // evaluation. These tests pin the two load-bearing properties:
 //
 //   * correctness — per-subscriber results are byte-identical to a private
-//     single-query engine, whatever mix of literals shares a machine;
+//     single-query engine and to the DOM evaluator, whatever mix of
+//     literals shares a machine;
 //   * scaling — the acceptance criterion of the plan-cache refactor: with
 //     1024 subscriptions drawn from 16 skeletons, per-event machine visits
 //     stay within 2x of a 16-distinct-query engine and at least 10x below
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "dom_reference.h"
 #include "twigm/engine.h"
 #include "twigm/multi_query.h"
 
@@ -103,7 +105,8 @@ TEST(SharedPlanTest, NumericAndStringLiteralSpellingsAreDistinctGroups) {
 
 TEST(SharedPlanTest, MatchesPrivateEnginesAcrossGroupMixes) {
   // A skeleton whose predicate mixes =, relational and not() over the
-  // shared machine; every subscriber must match its own private engine.
+  // shared machine; every subscriber must match its own private engine and
+  // the DOM evaluator.
   const std::string doc =
       "<log>"
       "<entry level=\"3\"><msg>alpha</msg></entry>"
@@ -134,6 +137,9 @@ TEST(SharedPlanTest, MatchesPrivateEnginesAcrossGroupMixes) {
     ASSERT_TRUE(engine->RunString(doc).ok());
     EXPECT_EQ(results[i]->SortedFragments(), single.SortedFragments())
         << queries[i];
+    auto dom = difftest::Oracle::RunDom(queries[i], doc);
+    ASSERT_TRUE(dom.ok()) << dom.status();
+    EXPECT_EQ(Sequenced(*results[i]), dom.value()) << queries[i];
   }
 }
 

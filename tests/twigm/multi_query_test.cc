@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dom_reference.h"
 #include "twigm/engine.h"
 #include "workload/protein_generator.h"
 
@@ -46,6 +47,10 @@ TEST(MultiQueryTest, MatchesSingleQueryEngines) {
     ASSERT_TRUE(engine->RunString(doc.value()).ok());
     EXPECT_EQ(multi_results[i]->SortedFragments(), single.SortedFragments())
         << queries[i];
+    // Both engines share one dispatcher; the DOM evaluator does not.
+    auto dom = difftest::Oracle::RunDom(queries[i], doc.value());
+    ASSERT_TRUE(dom.ok()) << dom.status();
+    EXPECT_EQ(Sequenced(*multi_results[i]), dom.value()) << queries[i];
   }
 }
 

@@ -114,7 +114,7 @@ TEST(DomTest, NodeCountIncludesAllKinds) {
 }
 
 TEST(DomTest, AdjacentTextCoalesced) {
-  // CDATA creates a second Characters event; the DOM must merge them.
+  // CDATA creates a second Text event; the DOM must merge them.
   Document doc = MustParse("<a>one<![CDATA[two]]>three</a>");
   const DomNode* t = doc.root()->first_child;
   ASSERT_TRUE(t->IsText());

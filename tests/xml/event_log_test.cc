@@ -4,7 +4,7 @@
 
 #include "common/random.h"
 #include "twigm/engine.h"
-#include "twigm/machine.h"
+#include "twigm/multi_query.h"
 #include "workload/random_generator.h"
 #include "xml/sax_parser.h"
 
@@ -25,8 +25,9 @@ class TraceHandler : public ContentHandler {
     trace.push_back("E:" + std::string(name) + ":" + std::to_string(depth));
     return Status::OK();
   }
-  Status Characters(std::string_view text, int depth) override {
-    trace.push_back("T:" + std::string(text) + ":" + std::to_string(depth));
+  Status Text(const TextEvent& event) override {
+    trace.push_back("T:" + std::string(event.text) + ":" +
+                    std::to_string(event.depth));
     return Status::OK();
   }
   std::vector<std::string> trace;
@@ -81,13 +82,16 @@ TEST(EventLogTest, TwigMOnReplayMatchesTwigMOnParse) {
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE(engine->RunString(doc).ok());
 
+    // Recorded without the engine's table: the replay carries no symbol
+    // stamps, so the dispatcher resolves every tag itself.
     auto log = RecordEvents(doc);
     ASSERT_TRUE(log.ok());
-    auto compiled = xpath::ParseAndCompile(query);
-    ASSERT_TRUE(compiled.ok());
+    twigm::MultiQueryEngine::Options private_machines;
+    private_machines.share_plans = false;
+    twigm::MultiQueryEngine replay_engine({}, private_machines);
     twigm::VectorResultCollector replayed;
-    twigm::TwigMachine machine(&compiled.value(), &replayed);
-    ASSERT_TRUE(log->Replay(&machine).ok());
+    ASSERT_TRUE(replay_engine.AddQuery(query, &replayed).ok());
+    ASSERT_TRUE(replay_engine.RunEvents(log.value()).ok());
 
     EXPECT_EQ(parsed.SortedFragments(), replayed.SortedFragments())
         << "query " << query << "\ndoc " << doc;
@@ -190,7 +194,7 @@ TEST(EventLogTest, MemoryAccounting) {
 
 TEST(EventLogTest, HandlerAbortPropagates) {
   class Abort : public ContentHandler {
-    Status Characters(std::string_view, int) override {
+    Status Text(const TextEvent&) override {
       return Status::Unsupported("no text please");
     }
   } abort_handler;

@@ -30,14 +30,14 @@ class CollectingHandler : public ContentHandler {
     events.push_back("E:" + std::string(name) + ":" + std::to_string(depth));
     return Status::OK();
   }
-  Status Characters(std::string_view text, int depth) override {
+  Status Text(const TextEvent& event) override {
     // Adjacent text events are concatenated: chunking may split a text node
     // arbitrarily, so the canonical form merges runs.
-    std::string tag = "T:" + std::to_string(depth) + ":";
+    std::string tag = "T:" + std::to_string(event.depth) + ":";
     if (!events.empty() && events.back().rfind(tag, 0) == 0) {
-      events.back() += std::string(text);
+      events.back() += std::string(event.text);
     } else {
-      events.push_back(tag + std::string(text));
+      events.push_back(tag + std::string(event.text));
     }
     return Status::OK();
   }

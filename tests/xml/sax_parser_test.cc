@@ -28,9 +28,9 @@ class TraceHandler : public ContentHandler {
     trace.push_back("end " + std::string(name) + " d" + std::to_string(depth));
     return Status::OK();
   }
-  Status Characters(std::string_view text, int depth) override {
-    trace.push_back("text[" + std::string(text) + "] d" +
-                    std::to_string(depth));
+  Status Text(const TextEvent& event) override {
+    trace.push_back("text[" + std::string(event.text) + "] d" +
+                    std::to_string(event.depth));
     return Status::OK();
   }
   Status ProcessingInstruction(std::string_view target,
@@ -215,12 +215,6 @@ TEST(SaxParserErrorTest, DuplicateAttribute) {
   Status s = ParseStatus(R"(<a x="1" x="2"/>)");
   EXPECT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("duplicate"), std::string::npos) << s;
-}
-
-TEST(SaxParserErrorTest, DuplicateAttributeAllowedWhenConfigured) {
-  SaxParserOptions options;
-  options.reject_duplicate_attributes = false;
-  EXPECT_TRUE(ParseStatus(R"(<a x="1" x="2"/>)", options).ok());
 }
 
 TEST(SaxParserErrorTest, InvalidElementName) {

@@ -198,8 +198,8 @@ TEST(FileSinkTest, WritesAndReportsBytes) {
   }
   class Counter : public ContentHandler {
    public:
-    Status Characters(std::string_view text, int) override {
-      collected += std::string(text);
+    Status Text(const TextEvent& event) override {
+      collected += std::string(event.text);
       return Status::OK();
     }
     std::string collected;

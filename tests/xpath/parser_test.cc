@@ -210,12 +210,6 @@ TEST(ParserTest, RoundTripToString) {
   }
 }
 
-TEST(ParserTest, ClonePreservesStructure) {
-  Path p = MustParse("//a[b and not(c > 3)]//d/@id");
-  Path clone = ClonePath(p);
-  EXPECT_EQ(PathToString(p), PathToString(clone));
-}
-
 TEST(ParserTest, UnionBranchCountAndIntrospection) {
   auto branches = ParseXPathUnion("//a | //b[c]//d");
   ASSERT_TRUE(branches.ok()) << branches.status();

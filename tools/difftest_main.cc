@@ -1,5 +1,5 @@
 // difftest_main: long-running differential fuzzer over the five evaluation
-// routes (DomEvaluator ground truth, TwigMachine, per-query
+// routes (DomEvaluator ground truth, single-query Engine, per-query
 // MultiQueryEngine with decoys, StreamService replay across 1-4 shards ×
 // 1-4 publisher streams (one published copy per stream), and the
 // shared-plan MultiQueryEngine). Odd iterations draw SharedSkeletonBatch

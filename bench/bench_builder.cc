@@ -55,7 +55,7 @@ void BM_MachineConstruction(benchmark::State& state) {
     // A fresh table per iteration: every name test is interned anew, as
     // for the first subscription of a new engine.
     vitex::SymbolTable symbols;
-    vitex::twigm::TwigMachine machine(&compiled.value(), nullptr,
+    vitex::twigm::TwigMachine machine(&compiled.value(),
                                       vitex::twigm::TwigMachine::Options(),
                                       &symbols);
     benchmark::DoNotOptimize(machine.stats());
@@ -69,7 +69,7 @@ void BM_BuildWidePredicates(benchmark::State& state) {
   for (auto _ : state) {
     vitex::SymbolTable symbols;
     auto built = vitex::twigm::TwigMBuilder::Build(
-        q, nullptr, vitex::twigm::TwigMachine::Options(), &symbols);
+        q, vitex::twigm::TwigMachine::Options(), &symbols);
     if (!built.ok()) {
       state.SkipWithError(built.status().ToString().c_str());
       break;

@@ -45,9 +45,7 @@ void BM_MatcherOnlyReplay(benchmark::State& state) {
   const char* query = kQueries[state.range(0)];
   // One engine across iterations, as a standing subscription would run;
   // each RunEvents call is one whole document.
-  vitex::twigm::MultiQueryEngine::Options private_machines;
-  private_machines.share_plans = false;
-  vitex::twigm::MultiQueryEngine engine({}, private_machines);
+  vitex::twigm::MultiQueryEngine engine;
   vitex::twigm::CountingResultHandler results;
   auto added = engine.AddQuery(query, &results);
   if (!added.ok()) {

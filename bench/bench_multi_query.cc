@@ -138,10 +138,10 @@ BENCHMARK(BM_MultiQueryDisjointTags)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 // The pub/sub population shape (DESIGN.md §7): n subscriptions drawn from
 // 16 structural skeletons, differing only in comparison literals — every
-// ticker symbol its own subscription. With plan sharing the engine
-// hash-conses them into ~16 machines (plus 64-group overflow chains), so
-// `machines` and `visits_per_event` must stay ~flat as n grows; with
-// sharing off both scale with n. Run both modes to see the gap.
+// ticker symbol its own subscription. The engine hash-conses them into ~16
+// machines (plus 64-group overflow chains), so `machines` and
+// `visits_per_event` must stay ~flat as n grows; one machine per
+// subscription would make both scale with n.
 std::string SharedSkeletonQuery(int skeleton, int literal) {
   std::string lit = std::to_string(literal % 97);
   std::string qlit = "'" + lit + "'";
@@ -189,15 +189,11 @@ std::string SharedSkeletonQuery(int skeleton, int literal) {
 
 void BM_MultiQuerySharedSkeletons(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  bool share = state.range(1) != 0;
   const std::string& doc = Doc();
   double visits_per_event = 0;
   double machines = 0;
   for (auto _ : state) {
-    vitex::twigm::MultiQueryEngine::Options options;
-    options.share_plans = share;
-    vitex::twigm::MultiQueryEngine engine{vitex::xml::SaxParserOptions(),
-                                          options};
+    vitex::twigm::MultiQueryEngine engine;
     std::vector<std::unique_ptr<vitex::twigm::CountingResultHandler>> handlers;
     for (int i = 0; i < n; ++i) {
       handlers.push_back(
@@ -224,13 +220,10 @@ void BM_MultiQuerySharedSkeletons(benchmark::State& state) {
   state.counters["visits_per_event"] = visits_per_event;
 }
 BENCHMARK(BM_MultiQuerySharedSkeletons)
-    ->ArgNames({"subs", "shared"})
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({1024, 1})
-    ->Args({64, 0})
-    ->Args({256, 0})
-    ->Args({1024, 0});
+    ->ArgNames({"subs"})
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 }  // namespace
 

@@ -174,8 +174,6 @@ std::string_view RouteName(Route route) {
       return "multi-query";
     case Route::kService:
       return "service";
-    case Route::kSharedPlan:
-      return "shared-plan";
   }
   return "?";
 }
@@ -229,12 +227,9 @@ Result<ResultSet> Oracle::RunTwigM(const std::string& query,
 
 Result<std::vector<ResultSet>> Oracle::RunMultiQuery(
     const std::vector<std::string>& queries,
-    const std::vector<std::string>& decoys, const std::string& document,
-    bool share_plans) {
+    const std::vector<std::string>& decoys, const std::string& document) {
   std::vector<twigm::VectorResultCollector> collectors(queries.size());
-  twigm::MultiQueryEngine::Options options;
-  options.share_plans = share_plans;
-  twigm::MultiQueryEngine engine{xml::SaxParserOptions(), options};
+  twigm::MultiQueryEngine engine;
   for (size_t i = 0; i < queries.size(); ++i) {
     VITEX_RETURN_IF_ERROR(engine.AddQuery(queries[i], &collectors[i]).status());
   }
@@ -385,27 +380,6 @@ std::optional<Divergence> Oracle::CheckBatch(
     }
   }
 
-  {
-    // Fifth route: identical registration, plan sharing ON. Differs from
-    // the kMultiQuery run only in Options::share_plans, so a divergence
-    // here (against DOM, with route 3 already validated) indicts the
-    // hash-consed plan cache and the per-group parameter masks.
-    Result<std::vector<ResultSet>> got =
-        RunMultiQuery(queries, decoys, document, /*share_plans=*/true);
-    if (!got.ok()) {
-      return make_divergence(0, Route::kDom, Route::kSharedPlan,
-                             "shared-plan error: " + got.status().ToString());
-    }
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (got.value()[i] != expected[i]) {
-        return make_divergence(
-            i, Route::kDom, Route::kSharedPlan,
-            FirstDifference(RouteName(Route::kDom), expected[i],
-                            RouteName(Route::kSharedPlan), got.value()[i]));
-      }
-    }
-  }
-
   if (shard_count > 0) {
     Result<std::vector<ResultSet>> got =
         RunService(queries, decoys, document, shard_count, stream_count);
@@ -438,11 +412,6 @@ Result<ResultSet> Oracle::RunRoute(Route route, const Divergence& d,
     case Route::kMultiQuery: {
       VITEX_ASSIGN_OR_RETURN(std::vector<ResultSet> sets,
                              RunMultiQuery({d.query}, d.decoys, document));
-      return std::move(sets[0]);
-    }
-    case Route::kSharedPlan: {
-      VITEX_ASSIGN_OR_RETURN(std::vector<ResultSet> sets,
-                             RunSharedPlan({d.query}, d.decoys, document));
       return std::move(sets[0]);
     }
     case Route::kService: {

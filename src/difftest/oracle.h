@@ -1,16 +1,17 @@
-// Differential oracle: evaluates one (query, document) pair through five
+// Differential oracle: evaluates one (query, document) pair through four
 // independent routes and cross-checks the results byte-for-byte.
 //
 //   1. dom-baseline — baseline::DomEvaluator over a materialized DOM:
 //      random access + memoization, the paper's §1 non-streaming evaluator.
 //      Ground truth.
-//   2. twigm — a single twigm::Engine: a one-subscription engine,
-//      optionally fed in tiny chunks (OracleOptions::feed_chunk_bytes).
+//   2. twigm — a single twigm::Engine: a one-subscription engine whose
+//      query runs as a one-group plan, optionally fed in tiny chunks
+//      (OracleOptions::feed_chunk_bytes).
 //   3. multi-query — twigm::MultiQueryEngine with the checked queries and K
 //      extra decoy queries co-registered, so the dispatch index, broadcast
-//      fallbacks and central text coalescing are in play. Plan sharing is
-//      explicitly OFF: one private machine per query, pinning the
-//      pre-sharing execution path as a reference.
+//      fallbacks and central text coalescing are in play, and queries that
+//      share a skeleton share one plan machine (hash-consed skeletons,
+//      per-group parameter masks, subscriber fan-out; DESIGN.md §7).
 //   4. service — service::StreamService end to end: per-stream parser
 //      threads (the document is published once on EACH of 1..max_streams
 //      streams, so concurrent parses and the epoch merge are in play) into
@@ -18,11 +19,6 @@
 //      through per-subscriber sinks. Expected results are the DOM set
 //      replicated once per stream: a lost or duplicated stream copy is a
 //      divergence.
-//   5. shared-plan — the same MultiQueryEngine registration with plan
-//      sharing ON (hash-consed skeletons, per-group parameter masks,
-//      subscriber fan-out; DESIGN.md §7). Routes 3 and 5 differ only in
-//      Options::share_plans, so any divergence between them indicts the
-//      plan cache directly.
 //
 // Results are normalized to the sorted set of (sequence number, serialized
 // output node) pairs. Sequence numbers are stamped once by the SAX parser
@@ -49,9 +45,8 @@
 
 namespace vitex::difftest {
 
-/// The five evaluation routes.
-enum class Route : uint8_t { kDom, kTwigM, kMultiQuery, kService,
-                             kSharedPlan };
+/// The four evaluation routes.
+enum class Route : uint8_t { kDom, kTwigM, kMultiQuery, kService };
 std::string_view RouteName(Route route);
 
 /// Normal form of one route's answer: (document-order sequence number,
@@ -117,17 +112,9 @@ class Oracle {
                                   const std::string& document);
   Result<ResultSet> RunTwigM(const std::string& query,
                              const std::string& document) const;
-  /// `share_plans` selects route 3 (false: one private machine per query)
-  /// or route 5 (true: hash-consed shared plans).
   static Result<std::vector<ResultSet>> RunMultiQuery(
       const std::vector<std::string>& queries,
-      const std::vector<std::string>& decoys, const std::string& document,
-      bool share_plans = false);
-  static Result<std::vector<ResultSet>> RunSharedPlan(
-      const std::vector<std::string>& queries,
-      const std::vector<std::string>& decoys, const std::string& document) {
-    return RunMultiQuery(queries, decoys, document, /*share_plans=*/true);
-  }
+      const std::vector<std::string>& decoys, const std::string& document);
   /// Publishes the document once per stream; each query's ResultSet is
   /// therefore the single-document set replicated `stream_count` times.
   static Result<std::vector<ResultSet>> RunService(

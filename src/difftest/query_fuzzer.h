@@ -83,10 +83,11 @@ class QueryFuzzer {
   /// options().tag_variant_probability, one name test) drawn from the
   /// workload alphabet — the shape a pub/sub subscriber population has
   /// (`//quote[@symbol = 'X']/price` for every ticker X). Feeding a batch
-  /// to Oracle::CheckBatch makes the shared-plan route hash-cons the
-  /// members into one (or a few sibling) plan machines while the other
-  /// routes stay per-query, which is exactly the differential the plan
-  /// cache must survive. Every member parses and compiles.
+  /// to Oracle::CheckBatch makes the multi-query and service routes
+  /// hash-cons the members into one (or a few sibling) plan machines while
+  /// the DOM and twigm routes evaluate each member on its own, which is
+  /// exactly the differential the plan cache must survive. Every member
+  /// parses and compiles.
   std::vector<std::string> NextSharedBatch(int count, Random* rng);
 
   const QueryFuzzerOptions& options() const { return options_; }

@@ -369,7 +369,7 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
     symbols_.Unfreeze();
     for (xpath::Query& branch : branches) {
       Result<twigm::BuiltMachine> machine = twigm::TwigMBuilder::Build(
-          std::make_unique<xpath::Query>(std::move(branch)), op->sink.get(),
+          std::make_unique<xpath::Query>(std::move(branch)),
           options_.machine_options, &symbols_);
       if (!machine.ok()) {
         built = machine.status();
@@ -787,7 +787,8 @@ void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
   switch (op->kind) {
     case ControlOp::Kind::kSubscribe: {
       if (shard->failed) break;
-      Result<twigm::QueryId> qid = engine.AddBuilt(std::move(op->machines));
+      Result<twigm::QueryId> qid =
+          engine.AddBuilt(std::move(op->machines), op->sink.get());
       if (!qid.ok()) {
         RecordError(qid.status());
         break;

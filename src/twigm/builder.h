@@ -56,15 +56,14 @@ class TwigMBuilder {
   /// `symbols` is the SymbolTable the machine's match index is interned
   /// into: the table of the MultiQueryEngine that will run the machine
   /// (MultiQueryEngine::symbols()). Must be non-null and outlive the
-  /// machine.
+  /// machine. Results are routed at registration:
+  /// MultiQueryEngine::AddBuilt takes the subscription's ResultHandler.
   static Result<BuiltMachine> Build(std::string_view xpath,
-                                    ResultHandler* results,
                                     TwigMachine::Options options,
                                     SymbolTable* symbols);
 
   /// Builds a machine from an already compiled query (takes ownership).
   static Result<BuiltMachine> Build(std::unique_ptr<xpath::Query> query,
-                                    ResultHandler* results,
                                     TwigMachine::Options options,
                                     SymbolTable* symbols);
 };

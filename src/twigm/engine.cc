@@ -1,6 +1,7 @@
 #include "twigm/engine.h"
 
 #include <cstdio>
+#include <vector>
 
 namespace vitex::twigm {
 
@@ -14,18 +15,23 @@ Result<Engine> Engine::Create(std::string_view xpath, ResultHandler* results,
   // Compiling the plain path here (rather than AddQuery) is what rejects
   // unions. A caller-supplied table (options.sax.symbols) becomes the
   // engine's, so tables can be shared across pipelines.
-  MultiQueryEngine::Options engine_options;
-  engine_options.share_plans = false;
-  auto engine =
-      std::make_unique<MultiQueryEngine>(options.sax, engine_options);
-  VITEX_ASSIGN_OR_RETURN(BuiltMachine built,
-                         TwigMBuilder::Build(xpath, results, options.machine,
-                                             engine->symbols()));
-  VITEX_ASSIGN_OR_RETURN(QueryId id, engine->AddBuilt(std::move(built)));
+  auto engine = std::make_unique<MultiQueryEngine>(options.sax);
+  VITEX_ASSIGN_OR_RETURN(
+      BuiltMachine built,
+      TwigMBuilder::Build(xpath, options.machine, engine->symbols()));
+  std::vector<BuiltMachine> branches;
+  branches.push_back(std::move(built));
+  VITEX_ASSIGN_OR_RETURN(QueryId id,
+                         engine->AddBuilt(std::move(branches), results));
   return Engine(std::move(engine), id);
 }
 
 Status Engine::RunFile(const std::string& path, size_t chunk_bytes) {
+  // fread of 0 bytes returns 0 forever: the loop below would never see
+  // the short read that ends it.
+  if (chunk_bytes == 0) {
+    return Status::InvalidArgument("RunFile needs a nonzero chunk size");
+  }
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IoError("cannot open '" + path + "'");

@@ -13,13 +13,14 @@
 //   engine->Finish();
 //   for (const auto& r : results.results()) { ... }
 //
-// An Engine is one subscription on a private MultiQueryEngine (plan sharing
-// off, so its machine delivers straight to `results`): single-query runs
-// take the same event path as every other subscription — the parser stamps
-// symbols and sequence numbers, and the dispatcher coalesces text and skips
-// the events the machine cannot use (DESIGN.md §3, §4). For many standing
-// queries over one stream, register them on one MultiQueryEngine
-// (multi_query.h), which shares one table and one parse across all of them.
+// An Engine is one subscription on a private MultiQueryEngine, where its
+// query runs as a one-group plan (DESIGN.md §7): single-query runs take the
+// same event path and the same machine code as every other subscription —
+// the parser stamps symbols and sequence numbers, and the dispatcher
+// coalesces text and skips the events the machine cannot use (DESIGN.md §3,
+// §4). For many standing queries over one stream, register them on one
+// MultiQueryEngine (multi_query.h), which shares one table and one parse
+// across all of them.
 
 #ifndef VITEX_TWIGM_ENGINE_H_
 #define VITEX_TWIGM_ENGINE_H_
@@ -57,7 +58,8 @@ class Engine {
   Status Feed(std::string_view chunk) { return engine_->Feed(chunk); }
   /// Signals end of stream.
   Status Finish() { return engine_->Finish(); }
-  /// Streams a whole file through the engine.
+  /// Streams a whole file through the engine in reads of `chunk_bytes`
+  /// (InvalidArgument for 0).
   Status RunFile(const std::string& path, size_t chunk_bytes = 1 << 16);
   /// Parses a whole in-memory document.
   Status RunString(std::string_view document) {

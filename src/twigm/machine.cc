@@ -10,10 +10,9 @@ namespace vitex::twigm {
 using xpath::Axis;
 using xpath::QueryNode;
 
-TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
-                         Options options, SymbolTable* symbols)
-    : results_(results),
-      options_(options),
+TwigMachine::TwigMachine(const xpath::Query* query, Options options,
+                         SymbolTable* symbols)
+    : options_(options),
       symbols_(symbols),
       candidates_(&memory_) {
   assert(symbols != nullptr);
@@ -55,11 +54,10 @@ TwigMachine::TwigMachine(const xpath::Query* query, ResultHandler* results,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   output_is_element_ = query->output()->IsElementNode();
 
-  // Shared-plan shape: parameter slots in preorder (the numbering
+  // Plan shape: parameter slots in preorder (the numbering
   // xpath::Canonicalize uses), the parametric closure (a node whose subtree
   // contains a slot has per-group satisfaction), and each node's
-  // parametric-child -> pmasks-slot map. Cheap and static, so computed
-  // unconditionally; it only takes effect under BindPlan.
+  // parametric-child -> pmasks-slot map.
   param_slot_of_node_.assign(query->size(), -1);
   parametric_.assign(query->size(), 0);
   for (const auto& qn : query->nodes()) {
@@ -94,12 +92,7 @@ uint64_t MaskForGroups(size_t group_count) {
 
 Status TwigMachine::BindPlan(const PlanBindings* bindings,
                              GroupResultSink* sink) {
-  if (bindings == nullptr) {
-    bindings_ = nullptr;
-    group_sink_ = nullptr;
-    full_mask_ = ~0ull;
-    return Status::OK();
-  }
+  assert(bindings != nullptr && sink != nullptr);
   if (bindings->slot_count != param_slot_count_) {
     return Status::InvalidArgument(
         "plan bindings have a different slot count than the query's "
@@ -144,7 +137,7 @@ Status TwigMachine::StartDocument() {
   Reset();
   // Group membership may change between documents (subscribe/unsubscribe at
   // epoch boundaries mutate the bindings while the machine is idle).
-  if (bindings_ != nullptr) full_mask_ = MaskForGroups(bindings_->group_count);
+  full_mask_ = MaskForGroups(bindings_->group_count);
   return Status::OK();
 }
 
@@ -197,7 +190,7 @@ uint64_t TwigMachine::EvaluateFormulaMask(const xpath::Formula& f,
 
 uint64_t TwigMachine::SatisfactionMask(const MachineNode& node,
                                        const StackEntry& entry) {
-  if (bindings_ != nullptr && parametric_[node.query->id]) {
+  if (parametric_[node.query->id]) {
     return EvaluateFormulaMask(node.query->formula, node, entry);
   }
   return node.query->formula.Evaluate(entry.child_bits) ? full_mask_ : 0;
@@ -205,21 +198,14 @@ uint64_t TwigMachine::SatisfactionMask(const MachineNode& node,
 
 void TwigMachine::DeliverResult(std::string_view fragment, uint64_t sequence,
                                 uint64_t group_mask) {
-  if (bindings_ != nullptr) {
-    group_mask &= full_mask_;
-    if (group_mask == 0) return;
-    // One "result" per (solution, group). Groups with several members
-    // (identical queries) fan out further in the sink, so this counts
-    // distinct per-group solutions, not individual subscriber deliveries.
-    stats_.results_emitted +=
-        static_cast<uint64_t>(__builtin_popcountll(group_mask));
-    if (group_sink_ != nullptr) {
-      group_sink_->OnGroupResult(fragment, sequence, group_mask);
-    }
-    return;
-  }
-  ++stats_.results_emitted;
-  if (results_ != nullptr) results_->OnResult(fragment, sequence);
+  group_mask &= full_mask_;
+  if (group_mask == 0) return;
+  // One "result" per (solution, group). Groups with several members
+  // (identical queries) fan out further in the sink, so this counts
+  // distinct per-group solutions, not individual subscriber deliveries.
+  stats_.results_emitted +=
+      static_cast<uint64_t>(__builtin_popcountll(group_mask));
+  group_sink_->OnGroupResult(fragment, sequence, group_mask);
 }
 
 Status TwigMachine::CheckMemoryLimit() const {
@@ -315,7 +301,7 @@ void TwigMachine::PushEntry(MachineNode& node, int level, uint64_t sequence) {
   // owed — the store's Reset already reclaimed everything).
   e.candidates.clear();
   size_t extra = 0;
-  if (bindings_ != nullptr && node.pchild_count > 0) {
+  if (node.pchild_count > 0) {
     e.pmasks.assign(static_cast<size_t>(node.pchild_count), 0);
     extra = static_cast<size_t>(node.pchild_count) * sizeof(uint64_t);
   } else {
@@ -480,14 +466,12 @@ Status TwigMachine::ProcessAttributes(const xml::StartElementEvent& event,
           continue;
         }
       }
-      // Parameterized comparison: the groups whose bound literal matches.
-      // Uniform nodes keep the single compiled-in comparison.
+      // Value test: the groups whose bound literal matches. A node without
+      // one matches for every group.
       uint64_t match_mask = full_mask_;
-      if (bindings_ != nullptr && param_slot_of_node_[id] >= 0) {
+      if (param_slot_of_node_[id] >= 0) {
         match_mask = ParamMatchMask(q, attr.value);
         if (match_mask == 0) continue;
-      } else if (!q->CompareValue(attr.value)) {
-        continue;
       }
       // The attribute "matches and pops" instantly: bookkeep into the
       // owning/ancestor entries of the parent machine node right away.
@@ -505,7 +489,7 @@ Status TwigMachine::ProcessAttributes(const xml::StartElementEvent& event,
         continue;
       }
       int parent_slot =
-          bindings_ != nullptr && parametric_[id]
+          parametric_[id]
               ? nodes_[node.parent_id].pchild_slot[q->index_in_parent]
               : -1;
       if (is_output) {
@@ -556,11 +540,9 @@ Status TwigMachine::ProcessTextNode(std::string_view text, int depth,
     MachineNode& node = nodes_[id];
     const QueryNode* q = node.query;
     uint64_t match_mask = full_mask_;
-    if (bindings_ != nullptr && param_slot_of_node_[id] >= 0) {
+    if (param_slot_of_node_[id] >= 0) {
       match_mask = ParamMatchMask(q, text);
       if (match_mask == 0) continue;
-    } else if (!q->CompareValue(text)) {
-      continue;
     }
     if (node.parent_id < 0) {
       // A bare text query. `//text()` matches every text node in the
@@ -576,9 +558,7 @@ Status TwigMachine::ProcessTextNode(std::string_view text, int depth,
     if (parent.stack_size == 0) continue;
     bool is_output = q->is_output;
     int parent_slot =
-        bindings_ != nullptr && parametric_[id]
-            ? parent.pchild_slot[q->index_in_parent]
-            : -1;
+        parametric_[id] ? parent.pchild_slot[q->index_in_parent] : -1;
     CandidateId cand = 0;
     if (is_output) {
       cand = candidates_.Create(text, seq);
@@ -630,9 +610,9 @@ Status TwigMachine::EndElement(std::string_view name, int depth) {
     }
     if (!node.query->IsElementNode()) continue;
     StackEntry& entry = PopEntry(node);
-    // Satisfaction as a group mask: all-or-nothing for uniform machines and
-    // uniform nodes, per-group for parametric nodes (a pop may qualify the
-    // subtree for some subscriber groups and not others).
+    // Satisfaction as a group mask: all-or-nothing for uniform nodes,
+    // per-group for parametric nodes (a pop may qualify the subtree for
+    // some subscriber groups and not others).
     uint64_t sat_mask = SatisfactionMask(node, entry);
     if (sat_mask == 0) {
       DropCandidates(entry);
@@ -673,7 +653,7 @@ void TwigMachine::PropagateSatisfiedPop(MachineNode& node, StackEntry& entry,
   }
   const QueryNode* q = node.query;
   int parent_slot =
-      bindings_ != nullptr && parametric_[q->id]
+      parametric_[q->id]
           ? nodes_[node.parent_id].pchild_slot[q->index_in_parent]
           : -1;
   ForEachPropagationTarget(node, entry.level, [&](StackEntry& target) {

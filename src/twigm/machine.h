@@ -44,9 +44,9 @@
 
 namespace vitex::twigm {
 
-/// Parameter bindings of a shared plan (DESIGN.md §7): the per-group
-/// comparison literals a skeleton machine evaluates in place of its own
-/// query's literals. Group g's literal for slot s is
+/// Parameter bindings of a plan (DESIGN.md §7): the per-group comparison
+/// literals a skeleton machine evaluates in place of its own query's
+/// literals. Group g's literal for slot s is
 /// `params[g * slot_count + s]` (group-major); slots are numbered in
 /// preorder of the query's value-tested nodes, matching
 /// xpath::CanonicalQuery::params. The engine mutates bindings only at
@@ -64,7 +64,7 @@ struct PlanBindings {
 /// Reference to a shared candidate held by one stack entry. `mask` is the
 /// set of subscriber groups for which this pattern match can still qualify
 /// the candidate; it narrows (ANDs) with every partially-satisfied pop on
-/// the way to the machine root. Single-query machines keep it all-ones.
+/// the way to the machine root. It is born all-ones.
 struct CandidateRef {
   CandidateId id = 0;
   uint64_t mask = ~0ull;
@@ -82,8 +82,8 @@ struct StackEntry {
   /// Document-order sequence number of the matching XML node.
   uint64_t sequence = 0;
   /// Per-group match masks of this node's parametric children, indexed by
-  /// MachineNode::pchild_slot. Empty unless the machine runs a
-  /// parameterized plan and this node has parametric children.
+  /// MachineNode::pchild_slot. Empty unless this node has parametric
+  /// children.
   std::vector<uint64_t> pmasks;
   /// Candidate solutions whose qualification depends on this entry's match.
   std::vector<CandidateRef> candidates;
@@ -105,7 +105,7 @@ struct MachineNode {
   size_t stack_size = 0;
   uint64_t stack_gen = 0;
   /// pchild_slot[i] is the pmasks index of child i, or -1 for a uniform
-  /// (non-parametric) child. Populated only under plan bindings.
+  /// (non-parametric) child.
   std::vector<int> pchild_slot;
   int pchild_count = 0;
 };
@@ -132,8 +132,10 @@ struct MachineStats {
 /// The TwigM machine. Only MultiQueryEngine's dispatcher drives it: it
 /// hands the machine the events it can use, with tag names resolved to
 /// symbols, sequence numbers stamped by the parser and character data
-/// coalesced into whole text nodes. Results go to the ResultHandler (or,
-/// under a shared plan, the GroupResultSink).
+/// coalesced into whole text nodes. Every running machine executes a plan
+/// (DESIGN.md §7) — a lone query is a one-group plan — so its value tests
+/// read the plan's per-group literals and its results go to the plan's
+/// GroupResultSink with the qualifying group mask.
 class TwigMachine {
  public:
   struct Options {
@@ -146,33 +148,26 @@ class TwigMachine {
   ///        referenced after construction (name tests are interned into the
   ///        symbol table up front), so moving the Query *object* elsewhere —
   ///        as BuiltMachine does — is safe; the nodes it owns stay put.
-  /// @param results must outlive the machine; may be null to discard.
   /// @param symbols the SymbolTable the machine's query names are interned
   ///        into: the dispatching engine's table, whose ids the dispatcher
   ///        hands over with every tag. Must outlive the machine.
-  TwigMachine(const xpath::Query* query, ResultHandler* results,
-              Options options, SymbolTable* symbols);
+  TwigMachine(const xpath::Query* query, Options options,
+              SymbolTable* symbols);
 
   TwigMachine(const TwigMachine&) = delete;
   TwigMachine& operator=(const TwigMachine&) = delete;
 
-  // --- Shared-plan interface (MultiQueryEngine, DESIGN.md §7) ------------
-  /// Binds this machine to a shared plan: value comparisons on slot nodes
-  /// evaluate `bindings`' per-group literals instead of the query's own,
-  /// and solutions are delivered to `sink` with the qualifying group mask
-  /// (ResultHandler is bypassed). Both pointers must outlive the machine or
-  /// a later BindPlan. Must be called at a document boundary; the engine
+  // --- Plan interface (MultiQueryEngine, DESIGN.md §7) -------------------
+  /// Binds this machine to its plan: value comparisons on slot nodes
+  /// evaluate `bindings`' per-group literals, and solutions are delivered
+  /// to `sink` with the qualifying group mask. Both must be non-null and
+  /// outlive the machine or a later BindPlan. The engine binds a machine
+  /// before its first document and rebinds only at document boundaries; it
   /// may mutate `*bindings` between documents (the machine re-reads
-  /// group_count each StartDocument). Pass nullptrs to unbind.
+  /// group_count each StartDocument).
   /// Precondition: bindings->slot_count equals the query's value-tested
   /// node count and group_count <= 64 (checked).
   Status BindPlan(const PlanBindings* bindings, GroupResultSink* sink);
-  /// True when bound to a shared plan (grouped delivery in effect).
-  bool plan_bound() const { return bindings_ != nullptr; }
-
-  /// The ResultHandler this machine was built with (fan-out layers lift it
-  /// into a subscriber list when the machine joins a shared plan).
-  ResultHandler* results() const { return results_; }
 
   /// True while a match of an element-valued output node is open and its
   /// subtree is being serialized: the machine must then observe *every*
@@ -278,18 +273,18 @@ class TwigMachine {
   void ForEachPropagationTarget(const MachineNode& node, int level, Fn fn);
 
   // Per-group satisfaction of `node`'s formula against an entry's uniform
-  // bits + parametric-child masks. Only meaningful under plan bindings.
+  // bits + parametric-child masks.
   uint64_t EvaluateFormulaMask(const xpath::Formula& f,
                                const MachineNode& node,
                                const StackEntry& entry) const;
   // The groups whose bound literal is matched by `value` on slot node `q`.
   uint64_t ParamMatchMask(const xpath::QueryNode* q,
                           std::string_view value) const;
-  // Satisfaction of a popped entry as a group mask: all-ones/zero for
-  // uniform machines and uniform nodes, per-group for parametric nodes.
+  // Satisfaction of a popped entry as a group mask: all-or-nothing for
+  // uniform nodes, per-group for parametric nodes.
   uint64_t SatisfactionMask(const MachineNode& node, const StackEntry& entry);
-  // Emission fan-in: group sink (with mask) under a plan, ResultHandler
-  // otherwise.
+  // Emission fan-in: hands a solution and its newly qualified groups to the
+  // plan's sink.
   void DeliverResult(std::string_view fragment, uint64_t sequence,
                      uint64_t group_mask);
 
@@ -316,7 +311,6 @@ class TwigMachine {
 
   Status CheckMemoryLimit() const;
 
-  ResultHandler* results_;
   Options options_;
   // The table query name tests were interned into (the engine's).
   const SymbolTable* symbols_;
@@ -340,12 +334,12 @@ class TwigMachine {
   bool has_unanchored_attributes_ = false;
   bool has_bare_attributes_ = false;
 
-  // Shared-plan state (null/empty for single-query machines).
+  // Plan state, set by BindPlan.
   const PlanBindings* bindings_ = nullptr;
   GroupResultSink* group_sink_ = nullptr;
-  // Bits [0, bindings_->group_count); ~0 when unbound, refreshed each
-  // StartDocument (group count may change between documents).
-  uint64_t full_mask_ = ~0ull;
+  // Bits [0, bindings_->group_count), refreshed each StartDocument (group
+  // count may change between documents).
+  uint64_t full_mask_ = 0;
   // Parameter slot of each query node (-1 for nodes without a value test);
   // slot order is preorder, matching xpath::Canonicalize.
   std::vector<int> param_slot_of_node_;

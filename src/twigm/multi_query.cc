@@ -7,12 +7,7 @@
 namespace vitex::twigm {
 
 MultiQueryEngine::MultiQueryEngine(xml::SaxParserOptions sax_options)
-    : MultiQueryEngine(std::move(sax_options), Options()) {}
-
-MultiQueryEngine::MultiQueryEngine(xml::SaxParserOptions sax_options,
-                                   Options options)
-    : options_(options),
-      symbols_(sax_options.symbols != nullptr ? sax_options.symbols
+    : symbols_(sax_options.symbols != nullptr ? sax_options.symbols
                                               : &owned_symbols_),
       dispatcher_(this) {
   sax_options.symbols = symbols_;
@@ -132,14 +127,11 @@ Status MultiQueryEngine::RebindInstance(PlanInstance* instance) {
 }
 
 void MultiQueryEngine::DestroyInstance(uint32_t index) {
-  PlanInstance* instance = instances_[index].get();
-  if (instance->shared) {
-    auto it = plan_index_.find(instance->plan_hash);
-    if (it != plan_index_.end()) {
-      auto& bucket = it->second;
-      bucket.erase(std::find(bucket.begin(), bucket.end(), index));
-      if (bucket.empty()) plan_index_.erase(it);
-    }
+  auto it = plan_index_.find(instances_[index]->plan_hash);
+  if (it != plan_index_.end()) {
+    auto& bucket = it->second;
+    bucket.erase(std::find(bucket.begin(), bucket.end(), index));
+    if (bucket.empty()) plan_index_.erase(it);
   }
   instances_[index] = nullptr;
   free_instances_.push_back(index);
@@ -174,27 +166,6 @@ Status MultiQueryEngine::AddBranch(QueryId id,
                                    std::unique_ptr<xpath::Query> query,
                                    TwigMachine::Options options,
                                    std::unique_ptr<BuiltMachine> built) {
-  ResultHandler* handler = subs_[id]->handler;
-  if (!options_.share_plans) {
-    // A private machine delivers straight to the subscription's handler;
-    // a pre-built union branch is rebuilt around the dedup (its compiled
-    // query is kept, nothing is reparsed).
-    if (built == nullptr || built->machine().results() != handler) {
-      if (built != nullptr) query = std::move(*built).TakeQuery();
-      VITEX_ASSIGN_OR_RETURN(
-          BuiltMachine fresh,
-          TwigMBuilder::Build(std::move(query), handler, options, symbols_));
-      built = std::make_unique<BuiltMachine>(std::move(fresh));
-    }
-    auto instance = std::make_unique<PlanInstance>();
-    instance->built = std::move(built);
-    instance->group_params.push_back({});
-    instance->group_members.push_back({});
-    AttachBranch(id, AllocateInstance(std::move(instance)), 0, nullptr);
-    ++plan_misses_;
-    return Status::OK();
-  }
-
   // Cache identity: the structural skeleton plus every machine option that
   // changes execution (subscriptions with different memory ceilings must
   // not share a machine).
@@ -248,13 +219,11 @@ Status MultiQueryEngine::AddBranch(QueryId id,
   if (built == nullptr) {
     VITEX_ASSIGN_OR_RETURN(
         BuiltMachine fresh,
-        TwigMBuilder::Build(std::move(query), /*results=*/nullptr, options,
-                            symbols_));
+        TwigMBuilder::Build(std::move(query), options, symbols_));
     built = std::make_unique<BuiltMachine>(std::move(fresh));
   }
   auto instance = std::make_unique<PlanInstance>();
   instance->built = std::move(built);
-  instance->shared = true;
   instance->plan_key = std::move(plan_key);
   instance->plan_hash = plan_hash;
   instance->bindings.slot_count = canon.params.size();
@@ -291,14 +260,8 @@ Result<QueryId> MultiQueryEngine::AddQuery(std::string_view xpath,
   return id;
 }
 
-Result<QueryId> MultiQueryEngine::AddBuilt(BuiltMachine built) {
-  std::vector<BuiltMachine> branches;
-  branches.push_back(std::move(built));
-  return AddBuilt(std::move(branches));
-}
-
-Result<QueryId> MultiQueryEngine::AddBuilt(
-    std::vector<BuiltMachine> branches) {
+Result<QueryId> MultiQueryEngine::AddBuilt(std::vector<BuiltMachine> branches,
+                                           ResultHandler* results) {
   if (started_) {
     return Status::InvalidArgument(
         "queries may be registered only at document boundaries");
@@ -306,17 +269,12 @@ Result<QueryId> MultiQueryEngine::AddBuilt(
   if (branches.empty()) {
     return Status::InvalidArgument("a subscription needs at least one branch");
   }
-  ResultHandler* results = branches.front().machine().results();
-  for (BuiltMachine& branch : branches) {
+  for (const BuiltMachine& branch : branches) {
     if (&branch.machine().symbols() != symbols_) {
       return Status::InvalidArgument(
           "machine was built against a different SymbolTable; build it with "
           "TwigMBuilder::Build(..., engine.symbols()) so dispatch symbols "
           "agree");
-    }
-    if (branch.machine().results() != results) {
-      return Status::InvalidArgument(
-          "the branches of one subscription must share one ResultHandler");
     }
   }
   // Register against each machine's own compiled query: a join takes the
@@ -519,16 +477,10 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
   ds.subscriptions = owner_->query_count();
   ds.machines = owner_->machine_count();
   std::unordered_set<std::string_view> keys;
-  uint64_t dedicated = 0;
   for (const auto& instance : owner_->instances_) {
-    if (instance == nullptr) continue;
-    if (instance->shared) {
-      keys.insert(instance->plan_key);
-    } else {
-      ++dedicated;  // a private machine is its own plan
-    }
+    if (instance != nullptr) keys.insert(instance->plan_key);
   }
-  ds.plans = keys.size() + dedicated;
+  ds.plans = keys.size();
   ds.plan_hits = owner_->plan_hits_;
   ds.plan_misses = owner_->plan_misses_;
   index_built_ = true;

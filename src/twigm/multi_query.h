@@ -28,13 +28,14 @@
 // parameters), and subscriptions with equal skeletons share ONE TwigMachine.
 // `//quote[@symbol = 'ACME']/price` for a thousand tickers runs one machine
 // whose matches fan out through per-plan subscriber groups; only the
-// parameterized comparisons are evaluated per group. Structural per-event
-// work (dispatch, pushes, pops, formula evaluation) then scales with the
-// number of distinct skeletons, not subscriptions; what remains per group
-// is one literal comparison on each *matching* parameterized leaf event —
-// the irreducible subscriber-specific work. Disable
-// with Options::share_plans = false to get one private machine per query
-// (the differential oracle pins the two modes against each other).
+// parameterized comparisons are evaluated per group. Every subscription
+// runs this way: a query whose skeleton no other subscription has is a
+// one-group plan. Structural per-event work (dispatch, pushes, pops,
+// formula evaluation) then scales with the number of distinct skeletons,
+// not subscriptions. What remains per group is one literal comparison each
+// time a value-tested leaf is handed a text node or a name-matching
+// attribute — on every such visit, before the machine checks that the
+// leaf's parent has an open entry, so leaves outside any match pay too.
 //
 // A union `p1 | p2 | ...` is one subscription whose branches are ordinary
 // plan members: each branch joins (or creates) a plan instance exactly as
@@ -87,7 +88,8 @@ using QueryId = size_t;
 /// Counters for the dispatch index (drive the multi-query experiments and
 /// the sublinearity assertions in tests). A "visit" is one machine receiving
 /// one event; without the index every event would cost machine_count visits,
-/// and without plan sharing machine_count would equal subscription count.
+/// and plan sharing keeps machine_count at the number of distinct skeletons
+/// rather than subscriptions.
 struct DispatchStats {
   uint64_t start_events = 0;
   uint64_t end_events = 0;
@@ -141,16 +143,7 @@ void ForEachDispatchStat(const DispatchStats& stats, Fn&& fn) {
 
 class MultiQueryEngine {
  public:
-  struct Options {
-    /// Hash-cons compiled plans: subscriptions whose queries share a
-    /// structural skeleton (same twig modulo comparison literals) share one
-    /// TwigMachine and fan results out per subscriber group. Off = one
-    /// private machine per subscription (the pre-sharing behavior).
-    bool share_plans = true;
-  };
-
   explicit MultiQueryEngine(xml::SaxParserOptions sax_options = {});
-  MultiQueryEngine(xml::SaxParserOptions sax_options, Options options);
 
   MultiQueryEngine(const MultiQueryEngine&) = delete;
   MultiQueryEngine& operator=(const MultiQueryEngine&) = delete;
@@ -163,19 +156,17 @@ class MultiQueryEngine {
   Result<QueryId> AddQuery(std::string_view xpath, ResultHandler* results,
                            TwigMachine::Options options = {});
 
-  /// Registers an already-built machine (for callers that compile queries
-  /// themselves, like StreamService). The machine must have been built
-  /// against this engine's symbols() table; InvalidArgument otherwise.
-  /// Under plan sharing the machine may be discarded in favor of an
-  /// existing instance with the same skeleton and options — its
-  /// ResultHandler then joins that plan's subscriber list.
-  Result<QueryId> AddBuilt(BuiltMachine built);
-
-  /// Registers a union subscription from one pre-built machine per branch
-  /// (a one-element vector is a path subscription). Every branch must be
-  /// built against symbols() with the same ResultHandler, which then sees
-  /// each selected node once per document, as with AddQuery.
-  Result<QueryId> AddBuilt(std::vector<BuiltMachine> branches);
+  /// Registers a subscription from pre-built machines, one per branch (for
+  /// callers that compile queries themselves, like StreamService): a
+  /// one-element vector is a path subscription, a longer one a union whose
+  /// `results` sees each selected node once per document, as with
+  /// AddQuery. Every machine must have been built against this engine's
+  /// symbols() table; InvalidArgument otherwise. A machine whose skeleton
+  /// and options match an existing instance is discarded in favor of it
+  /// (its compiled query is kept for query()); otherwise it becomes a new
+  /// plan instance. `results` must outlive the engine; may be null.
+  Result<QueryId> AddBuilt(std::vector<BuiltMachine> branches,
+                           ResultHandler* results);
 
   /// Deregisters a query at a document boundary (subscription lifecycle:
   /// DESIGN.md §5). Each branch leaves its plan's subscriber group;
@@ -195,8 +186,9 @@ class MultiQueryEngine {
   /// Number of live (registered, not removed) queries.
   size_t query_count() const { return subs_.size() - free_slots_.size(); }
 
-  /// Number of live plan machines (== query_count() when sharing is off or
-  /// no skeletons collide; the whole point is that it can be far smaller).
+  /// Number of live plan machines (one per distinct skeleton, plus chained
+  /// instances past 64 groups; the whole point is that it can be far
+  /// smaller than query_count()).
   size_t machine_count() const {
     return instances_.size() - free_instances_.size();
   }
@@ -234,8 +226,8 @@ class MultiQueryEngine {
   /// satisfy has_query(id).
   const xpath::Query& query(QueryId id) const;
   /// The machine executing a live subscription (a union's first branch).
-  /// Under plan sharing this may serve other subscriptions too, so its
-  /// stats aggregate across them.
+  /// It may serve other subscriptions too, so its stats aggregate across
+  /// them.
   const TwigMachine& machine(QueryId id) const {
     return instances_[subs_[id]->branches.front().instance]
         ->built->machine();
@@ -248,11 +240,9 @@ class MultiQueryEngine {
 
  private:
   // One compiled plan instance: the unit the dispatcher routes events to.
-  // Shared instances serve up to 64 parameter groups, each a distinct
-  // literal vector with its own subscriber list; a skeleton with more
-  // groups chains additional instances under the same cache key. Dedicated
-  // instances (share_plans off) serve exactly one subscription branch
-  // through the machine's own ResultHandler.
+  // An instance serves up to 64 parameter groups, each a distinct literal
+  // vector with its own subscriber list; a skeleton with more groups chains
+  // additional instances under the same cache key.
   struct PlanInstance;
   // A plan group member: branch `branch` of subscription `id`.
   struct Member {
@@ -278,9 +268,8 @@ class MultiQueryEngine {
 
   struct PlanInstance {
     std::unique_ptr<BuiltMachine> built;
-    bool shared = false;
-    // Cache identity (shared instances only): skeleton key + machine
-    // options, FNV hash of the same.
+    // Cache identity: skeleton key + machine options, FNV hash of the
+    // same.
     std::string plan_key;
     uint64_t plan_hash = 0;
     // Parameter groups: group g's literal vector and subscribers. Parallel
@@ -327,6 +316,7 @@ class MultiQueryEngine {
   struct Branch {
     uint32_t instance = 0;
     uint32_t group = 0;
+    // Kept: dropping it cost xmark_fanout setup_s +29% (12.2->15.7 ms, 4 vCPU).
     std::unique_ptr<xpath::Query> query;
   };
 
@@ -471,8 +461,9 @@ class MultiQueryEngine {
   };
 
   // Registration internals (shared by AddQuery and AddBuilt). A
-  // subscription slot is allocated first, then each branch is added to it;
-  // a branch that fails removes the whole subscription again.
+  // subscription slot is allocated first, then each branch joins or
+  // creates a plan instance; a branch that fails removes the whole
+  // subscription again.
   QueryId NewSubscription(ResultHandler* handler, size_t branch_count);
   // Exactly one of `query` (caller compiled the query; a machine is built
   // on demand if no instance can be joined) and `built` (pre-built
@@ -504,7 +495,6 @@ class MultiQueryEngine {
   // that hash (key compared exactly on hit; chained instances on overflow).
   std::unordered_map<uint64_t, std::vector<uint32_t>> plan_index_;
 
-  Options options_;
   SymbolTable owned_symbols_;
   // The engine's table: caller-supplied via sax_options.symbols (must then
   // outlive the engine) or &owned_symbols_.

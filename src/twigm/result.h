@@ -41,11 +41,10 @@ class ResultHandler {
   virtual void OnResult(std::string_view fragment, uint64_t sequence) = 0;
 };
 
-/// Receiver for solutions of a *shared plan* machine serving several
-/// subscriber groups (DESIGN.md §7). `group_mask` has bit g set iff the
-/// solution qualified for group g — the fan-out layer (MultiQueryEngine)
-/// maps bits to subscriber lists. A machine bound to a plan delivers here
-/// instead of ResultHandler.
+/// Receiver for solutions of a plan machine serving one or more subscriber
+/// groups (DESIGN.md §7). `group_mask` has bit g set iff the solution
+/// qualified for group g — the fan-out layer (MultiQueryEngine) maps bits
+/// to its subscribers' ResultHandlers. Every machine delivers here.
 class GroupResultSink {
  public:
   virtual ~GroupResultSink() = default;

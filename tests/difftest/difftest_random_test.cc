@@ -1,18 +1,18 @@
 // The randomized differential sweep — the acceptance bar for this harness:
-// thousands of seeded (query, document) cross-checks through all five
+// thousands of seeded (query, document) cross-checks through all four
 // routes (DomEvaluator ground truth, single-query Engine, MultiQueryEngine
-// with per-query machines and co-registered decoys, StreamService replay
-// across 1..4 shards, and the shared-plan MultiQueryEngine with hash-consed
-// skeletons) over the four workload generators plus the markup-rich random
-// generator, with zero divergences. Failures print a minimized,
-// self-contained repro (Divergence::ToString) and are deterministic per
-// seed.
+// with co-registered decoys and hash-consed shared plans, and StreamService
+// replay across 1..4 shards) over the four workload generators plus the
+// markup-rich random generator, with zero divergences. Failures print a
+// minimized, self-contained repro (Divergence::ToString) and are
+// deterministic per seed.
 //
 // Totals: 10 seeds × 4 paper workloads × 125 checks = 5000 checks through
-// all five routes, plus another 5000 in SharedSkeletonBatch mode (batches
-// instantiated from one query template, so the shared-plan route folds them
-// into one or a few plan machines), plus the random-generator and
-// chunked-feed sweeps on top. For longer runs use tools/difftest_main.cc.
+// all four routes, plus another 5000 in SharedSkeletonBatch mode (batches
+// instantiated from one query template, so the multi-query and service
+// routes fold them into one or a few plan machines), plus the
+// random-generator and chunked-feed sweeps on top. For longer runs use
+// tools/difftest_main.cc.
 
 #include <gtest/gtest.h>
 
@@ -59,8 +59,8 @@ void SweepWorkload(Oracle* oracle, WorkloadKind kind, uint64_t seed,
 
 // SharedSkeletonBatch sweep: every batch is a literal/tag-varied family of
 // one query template — the subscriber-population shape the plan cache
-// exists for. The shared-plan route hash-conses the family; DOM, twigm and
-// the per-query multi-query route evaluate each member independently.
+// exists for. The multi-query and service routes hash-cons the family; DOM
+// and twigm evaluate each member independently.
 void SweepSharedSkeletons(Oracle* oracle, WorkloadKind kind, uint64_t seed,
                           int batches, int batch_size) {
   Random rng(seed * 0xd1b54a32d192ed03ull +
@@ -110,8 +110,8 @@ class DifftestSharedSkeletonSweep
     : public ::testing::TestWithParam<uint64_t> {};
 
 // 4 workloads × 25 batches × 5 family members = 500 checks per seed; the 10
-// seeds below make the second 5000-iteration sweep, all through the fifth
-// (shared-plan) route alongside the other four.
+// seeds below make the second 5000-iteration sweep, through all four
+// routes.
 TEST_P(DifftestSharedSkeletonSweep, SkeletonFamiliesAgreeOnAllRoutes) {
   Oracle oracle;
   const WorkloadKind paper_workloads[] = {

@@ -1,8 +1,8 @@
 // Randomized differential testing for union subscriptions: the streaming
-// union — a MultiQueryEngine subscription with plan sharing on and off, and
-// a vitex::Service subscription at 1-4 shards — vs the set union of the
-// per-branch DOM oracle results. Answers are compared as sorted
-// (sequence, fragment) lists, so a node delivered twice is a divergence.
+// union — a MultiQueryEngine subscription and a vitex::Service subscription
+// at 1-4 shards — vs the set union of the per-branch DOM oracle results.
+// Answers are compared as sorted (sequence, fragment) lists, so a node
+// delivered twice is a divergence.
 
 #include <gtest/gtest.h>
 
@@ -41,10 +41,8 @@ ResultSet DomUnion(const std::string& union_query, const std::string& doc) {
   return ResultSet(nodes.begin(), nodes.end());
 }
 
-ResultSet StreamUnion(const std::string& union_query, const std::string& doc,
-                      bool share_plans) {
-  auto got = difftest::Oracle::RunMultiQuery({union_query}, {}, doc,
-                                             share_plans);
+ResultSet StreamUnion(const std::string& union_query, const std::string& doc) {
+  auto got = difftest::Oracle::RunMultiQuery({union_query}, {}, doc);
   EXPECT_TRUE(got.ok()) << union_query << ": " << got.status();
   return got.ok() ? got.value()[0] : ResultSet();
 }
@@ -62,20 +60,15 @@ std::string RandomUnion(Random* rng) {
 
 class UnionDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-// Each seed runs the same documents and unions with plan sharing on and off.
 TEST_P(UnionDifferentialTest, StreamingUnionMatchesDomUnion) {
-  for (bool share_plans : {true, false}) {
-    SCOPED_TRACE(share_plans ? "share_plans on" : "share_plans off");
-    Random rng(GetParam());
-    workload::RandomDocOptions doc_options;
-    doc_options.max_elements = 70;
-    for (int i = 0; i < 12; ++i) {
-      std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
-      std::string union_query = RandomUnion(&rng);
-      EXPECT_EQ(StreamUnion(union_query, doc, share_plans),
-                DomUnion(union_query, doc))
-          << union_query << "\ndoc: " << doc;
-    }
+  Random rng(GetParam());
+  workload::RandomDocOptions doc_options;
+  doc_options.max_elements = 70;
+  for (int i = 0; i < 12; ++i) {
+    std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
+    std::string union_query = RandomUnion(&rng);
+    EXPECT_EQ(StreamUnion(union_query, doc), DomUnion(union_query, doc))
+        << union_query << "\ndoc: " << doc;
   }
 }
 
@@ -84,18 +77,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnionDifferentialTest,
 
 TEST(UnionDifferentialTest, IdenticalBranchesCollapse) {
   // p | p must equal p exactly (full dedup).
-  for (bool share_plans : {true, false}) {
-    Random rng(5150);
-    workload::RandomDocOptions doc_options;
-    doc_options.max_elements = 60;
-    workload::RandomQueryOptions query_options;
-    for (int i = 0; i < 10; ++i) {
-      std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
-      std::string q = workload::GenerateRandomQuery(query_options, &rng);
-      auto single = StreamUnion(q, doc, share_plans);
-      auto doubled = StreamUnion(q + " | " + q, doc, share_plans);
-      EXPECT_EQ(single, doubled) << q;
-    }
+  Random rng(5150);
+  workload::RandomDocOptions doc_options;
+  doc_options.max_elements = 60;
+  workload::RandomQueryOptions query_options;
+  for (int i = 0; i < 10; ++i) {
+    std::string doc = workload::GenerateRandomDocument(doc_options, &rng);
+    std::string q = workload::GenerateRandomQuery(query_options, &rng);
+    auto single = StreamUnion(q, doc);
+    auto doubled = StreamUnion(q + " | " + q, doc);
+    EXPECT_EQ(single, doubled) << q;
   }
 }
 

@@ -95,6 +95,26 @@ TEST(EngineTest, RunFileMissingFileFails) {
   EXPECT_TRUE(engine->RunFile("/no/such/file.xml").IsIoError());
 }
 
+// A zero-byte read size would read 0 bytes forever: rejected up front,
+// before anything is fed, so the engine still runs the file afterwards.
+TEST(EngineTest, RunFileRejectsZeroChunk) {
+  std::string path = ::testing::TempDir() + "/vitex_engine_zero_chunk.xml";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("<r><a/><a/></r>", f);
+    std::fclose(f);
+  }
+  VectorResultCollector results;
+  auto engine = Engine::Create("//a", &results);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_TRUE(engine->RunFile(path, /*chunk_bytes=*/0).IsInvalidArgument());
+  EXPECT_EQ(results.size(), 0u);
+  ASSERT_TRUE(engine->RunFile(path, /*chunk_bytes=*/4).ok());
+  EXPECT_EQ(results.size(), 2u);
+  std::remove(path.c_str());
+}
+
 TEST(EngineTest, MoveSemantics) {
   VectorResultCollector results;
   auto engine = Engine::Create("//a", &results);
@@ -109,16 +129,15 @@ TEST(BuilderTest, BuildFromPrecompiledQuery) {
   ASSERT_TRUE(compiled.ok());
   auto query = std::make_unique<xpath::Query>(std::move(compiled).value());
   SymbolTable symbols;
-  VectorResultCollector results;
-  auto built = TwigMBuilder::Build(std::move(query), &results,
-                                   TwigMachine::Options(), &symbols);
+  auto built =
+      TwigMBuilder::Build(std::move(query), TwigMachine::Options(), &symbols);
   ASSERT_TRUE(built.ok()) << built.status();
   EXPECT_EQ(built->query().size(), 2u);
 }
 
 TEST(BuilderTest, NullQueryRejected) {
   SymbolTable symbols;
-  auto built = TwigMBuilder::Build(std::unique_ptr<xpath::Query>(), nullptr,
+  auto built = TwigMBuilder::Build(std::unique_ptr<xpath::Query>(),
                                    TwigMachine::Options(), &symbols);
   EXPECT_TRUE(built.status().IsInvalidArgument());
 }
@@ -127,9 +146,7 @@ TEST(BuilderTest, MachineNodeCountEqualsQuerySize) {
   // Paper §3.1: one machine node per query node, built in linear time.
   for (const char* q : {"//a", "//a[b]", "//a[b][c]//d[e/f]//g"}) {
     SymbolTable symbols;
-    VectorResultCollector results;
-    auto built =
-        TwigMBuilder::Build(q, &results, TwigMachine::Options(), &symbols);
+    auto built = TwigMBuilder::Build(q, TwigMachine::Options(), &symbols);
     ASSERT_TRUE(built.ok());
     EXPECT_GT(built->query().size(), 0u);
     // DebugString lists one "node N" line per machine node.

@@ -224,12 +224,10 @@ TEST(MachineBasicTest, MachineSurvivesQueryMove) {
   auto compiled = xpath::ParseAndCompile("//entry[meta/@kind = 'x']/payload");
   ASSERT_TRUE(compiled.ok());
   auto original = std::make_unique<xpath::Query>(std::move(compiled).value());
-  MultiQueryEngine::Options private_machines;
-  private_machines.share_plans = false;
-  MultiQueryEngine engine({}, private_machines);
+  MultiQueryEngine engine;
   VectorResultCollector results;
   auto machine = std::make_unique<TwigMachine>(
-      original.get(), &results, TwigMachine::Options(), engine.symbols());
+      original.get(), TwigMachine::Options(), engine.symbols());
 
   // Move the Query value out of its original home. The moved-from shell is
   // destroyed; the QueryNode tree now lives in (and is kept alive by) the
@@ -237,9 +235,9 @@ TEST(MachineBasicTest, MachineSurvivesQueryMove) {
   auto relocated = std::make_unique<xpath::Query>(std::move(*original));
   original.reset();
 
-  ASSERT_TRUE(
-      engine.AddBuilt(BuiltMachine(std::move(relocated), std::move(machine)))
-          .ok());
+  std::vector<BuiltMachine> branches;
+  branches.emplace_back(std::move(relocated), std::move(machine));
+  ASSERT_TRUE(engine.AddBuilt(std::move(branches), &results).ok());
   ASSERT_TRUE(
       engine
           .RunString(
@@ -259,13 +257,15 @@ TEST(MachineBasicTest, BuiltMachineSurvivesRelocation) {
   for (int i = 0; i < 16; ++i) {
     handlers.push_back(std::make_unique<VectorResultCollector>());
     auto built = TwigMBuilder::Build("//tag_" + std::to_string(i),
-                                     handlers.back().get(),
                                      TwigMachine::Options(), engine.symbols());
     ASSERT_TRUE(built.ok());
     fleet.push_back(std::move(built).value());  // repeated reallocation
   }
-  for (BuiltMachine& built : fleet) {
-    ASSERT_TRUE(engine.AddBuilt(std::move(built)).ok());
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    std::vector<BuiltMachine> branches;
+    branches.push_back(std::move(fleet[i]));
+    ASSERT_TRUE(
+        engine.AddBuilt(std::move(branches), handlers[i].get()).ok());
   }
   ASSERT_TRUE(engine.RunString("<r><tag_7/><tag_7/></r>").ok());
   EXPECT_EQ(handlers[7]->size(), 2u);

@@ -178,16 +178,19 @@ TEST(MultiQueryDispatchTest, PerEventWorkSublinearInRegisteredQueries) {
 TEST(MultiQueryDispatchTest, ForeignSymbolTableMachineRejected) {
   MultiQueryEngine engine;
   SymbolTable foreign;
-  auto built =
-      TwigMBuilder::Build("//a", nullptr, TwigMachine::Options(), &foreign);
+  auto built = TwigMBuilder::Build("//a", TwigMachine::Options(), &foreign);
   ASSERT_TRUE(built.ok());
-  auto added = engine.AddBuilt(std::move(built).value());
+  std::vector<BuiltMachine> branches;
+  branches.push_back(std::move(built).value());
+  auto added = engine.AddBuilt(std::move(branches), nullptr);
   EXPECT_TRUE(added.status().IsInvalidArgument());
 
-  auto shared = TwigMBuilder::Build("//a", nullptr, TwigMachine::Options(),
-                                    engine.symbols());
+  auto shared =
+      TwigMBuilder::Build("//a", TwigMachine::Options(), engine.symbols());
   ASSERT_TRUE(shared.ok());
-  EXPECT_TRUE(engine.AddBuilt(std::move(shared).value()).ok());
+  branches.clear();
+  branches.push_back(std::move(shared).value());
+  EXPECT_TRUE(engine.AddBuilt(std::move(branches), nullptr).ok());
   EXPECT_TRUE(engine.RunString("<a/>").ok());
 }
 

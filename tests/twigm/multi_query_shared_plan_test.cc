@@ -8,7 +8,7 @@
 //   * scaling — the acceptance criterion of the plan-cache refactor: with
 //     1024 subscriptions drawn from 16 skeletons, per-event machine visits
 //     stay within 2x of a 16-distinct-query engine and at least 10x below
-//     the per-subscription fan-out that share_plans=false pays.
+//     the per-subscription fan-out of one machine per subscription.
 
 #include <gtest/gtest.h>
 
@@ -203,18 +203,18 @@ TEST(SharedPlanTest, AcceptanceVisitsFlatAt1024SubscriptionsOver16Skeletons) {
   // fact identical dispatch — the slack guards unrelated index changes).
   EXPECT_LE(shared_visits, 2 * reference_visits);
 
-  // And >= 10x below per-subscription fan-out.
-  MultiQueryEngine::Options legacy;
-  legacy.share_plans = false;
-  MultiQueryEngine unshared{xml::SaxParserOptions(), legacy};
+  // And >= 10x below per-subscription fan-out: one machine per
+  // subscription, each alone on its own engine (a machine's visits do not
+  // depend on what else is registered).
+  uint64_t unshared_visits = 0;
   for (int k = 0; k < kSkeletons; ++k) {
     for (int j = 0; j < kLiteralsPerSkeleton; ++j) {
-      ASSERT_TRUE(unshared.AddQuery(SkeletonQuery(k, j), nullptr).ok());
+      MultiQueryEngine alone;
+      ASSERT_TRUE(alone.AddQuery(SkeletonQuery(k, j), nullptr).ok());
+      ASSERT_TRUE(alone.RunString(doc).ok());
+      unshared_visits += TotalVisits(alone.dispatch_stats());
     }
   }
-  EXPECT_EQ(unshared.machine_count(), 1024u);
-  ASSERT_TRUE(unshared.RunString(doc).ok());
-  uint64_t unshared_visits = TotalVisits(unshared.dispatch_stats());
   EXPECT_GE(unshared_visits, 10 * shared_visits);
 
   // Spot-check delivery: subscriber (k, j) sees exactly the entries whose
@@ -225,6 +225,44 @@ TEST(SharedPlanTest, AcceptanceVisitsFlatAt1024SubscriptionsOver16Skeletons) {
       EXPECT_GE(handlers[static_cast<size_t>(k * 64 + j)]->count(), 1u);
     }
     EXPECT_EQ(handlers[static_cast<size_t>(k * 64 + 1)]->count(), 0u);
+  }
+}
+
+// Pre-built machines (the StreamService path) join like AddQuery
+// subscriptions: the second machine shares the first one's skeleton, so it
+// is discarded in favor of the existing instance and its subscription
+// becomes a second group there, keeping its own handler and query text.
+TEST(SharedPlanTest, PrebuiltMachineJoinsExistingInstance) {
+  MultiQueryEngine engine;
+  const std::string queries[] = {"//quote[@symbol = 'A']/price",
+                                 "//quote[@symbol = 'B']/price"};
+  VectorResultCollector results[2];
+  QueryId ids[2];
+  for (int i = 0; i < 2; ++i) {
+    auto built = TwigMBuilder::Build(queries[i], {}, engine.symbols());
+    ASSERT_TRUE(built.ok()) << built.status();
+    std::vector<BuiltMachine> branches;
+    branches.push_back(std::move(built).value());
+    auto id = engine.AddBuilt(std::move(branches), &results[i]);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids[i] = id.value();
+  }
+  EXPECT_EQ(engine.machine_count(), 1u);
+  EXPECT_EQ(engine.query(ids[1]).source(), queries[1]);
+
+  const std::string doc =
+      "<feed>"
+      "<quote symbol=\"A\"><price>1</price></quote>"
+      "<quote symbol=\"B\"><price>2</price></quote>"
+      "<quote symbol=\"A\"><price>3</price></quote>"
+      "</feed>";
+  ASSERT_TRUE(engine.RunString(doc).ok());
+  EXPECT_EQ(engine.dispatch_stats().plan_hits, 1u);
+  for (int i = 0; i < 2; ++i) {
+    auto dom = difftest::Oracle::RunDom(queries[i], doc);
+    ASSERT_TRUE(dom.ok()) << dom.status();
+    EXPECT_EQ(Sequenced(results[i]), dom.value()) << queries[i];
+    EXPECT_FALSE(results[i].results().empty()) << queries[i];
   }
 }
 

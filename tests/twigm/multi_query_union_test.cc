@@ -1,8 +1,6 @@
 // Union subscriptions `p1 | p2 | ...` in MultiQueryEngine: each branch is an
 // ordinary plan member, all branches deliver into one per-subscription
-// dedup handler, and one QueryId stands for the whole union. Every case
-// runs with plan sharing on and off, the two registration paths a branch
-// can take.
+// dedup handler, and one QueryId stands for the whole union.
 
 #include <gtest/gtest.h>
 
@@ -19,18 +17,10 @@
 namespace vitex::twigm {
 namespace {
 
-constexpr bool kPlanModes[] = {true, false};
-
-MultiQueryEngine::Options PlanMode(bool share_plans) {
-  MultiQueryEngine::Options options;
-  options.share_plans = share_plans;
-  return options;
-}
-
-std::vector<std::string> RunUnion(std::string_view query, std::string_view doc,
-                                  bool share_plans) {
+std::vector<std::string> RunUnion(std::string_view query,
+                                  std::string_view doc) {
   VectorResultCollector results;
-  MultiQueryEngine engine({}, PlanMode(share_plans));
+  MultiQueryEngine engine;
   auto id = engine.AddQuery(query, &results);
   EXPECT_TRUE(id.ok()) << id.status();
   Status s = engine.RunString(doc);
@@ -39,12 +29,10 @@ std::vector<std::string> RunUnion(std::string_view query, std::string_view doc,
 }
 
 TEST(MultiQueryUnionTest, TwoDisjointBranches) {
-  for (bool share : kPlanModes) {
-    auto r = RunUnion("//a | //b", "<r><a/><b/><c/></r>", share);
-    ASSERT_EQ(r.size(), 2u) << share;
-    EXPECT_EQ(r[0], "<a/>");
-    EXPECT_EQ(r[1], "<b/>");
-  }
+  auto r = RunUnion("//a | //b", "<r><a/><b/><c/></r>");
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0], "<a/>");
+  EXPECT_EQ(r[1], "<b/>");
 }
 
 TEST(MultiQueryUnionTest, SingleBranchBehavesLikeEngine) {
@@ -53,27 +41,21 @@ TEST(MultiQueryUnionTest, SingleBranchBehavesLikeEngine) {
   ASSERT_TRUE(e.ok());
   const char* doc = "<r><a><b/></a><a/></r>";
   ASSERT_TRUE(e->RunString(doc).ok());
-  for (bool share : kPlanModes) {
-    EXPECT_EQ(RunUnion("//a[b]", doc, share),
-              engine_results.SortedFragments())
-        << share;
-  }
+  EXPECT_EQ(RunUnion("//a[b]", doc), engine_results.SortedFragments());
 }
 
 TEST(MultiQueryUnionTest, OverlappingBranchesDeduplicated) {
   // Both //a and //*[b] select the same <a><b/></a> element.
-  for (bool share : kPlanModes) {
-    VectorResultCollector results;
-    MultiQueryEngine engine({}, PlanMode(share));
-    auto id = engine.AddQuery("//a | //*[b]", &results);
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
-    // Nodes: a[0] (has b, selected by both), a[1] (only //a); r has no b
-    // child. Three branch emissions, two deliveries.
-    EXPECT_EQ(results.size(), 2u) << share;
-    EXPECT_EQ(engine.query_count(), 1u);
-    EXPECT_EQ(engine.machine_count(), 2u);
-  }
+  VectorResultCollector results;
+  MultiQueryEngine engine;
+  auto id = engine.AddQuery("//a | //*[b]", &results);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
+  // Nodes: a[0] (has b, selected by both), a[1] (only //a); r has no b
+  // child. Three branch emissions, two deliveries.
+  EXPECT_EQ(results.size(), 2u);
+  EXPECT_EQ(engine.query_count(), 1u);
+  EXPECT_EQ(engine.machine_count(), 2u);
 }
 
 TEST(MultiQueryUnionTest, SetUnionMatchesDomSemantics) {
@@ -104,45 +86,34 @@ TEST(MultiQueryUnionTest, SetUnionMatchesDomSemantics) {
   for (const xml::DomNode* n : nodes) {
     dom_fragments.push_back(xml::Document::Serialize(n));
   }
-  for (bool share : kPlanModes) {
-    EXPECT_EQ(RunUnion(std::string(q1) + " | " + q2, doc, share),
-              dom_fragments)
-        << share;
-  }
+  EXPECT_EQ(RunUnion(std::string(q1) + " | " + q2, doc), dom_fragments);
 }
 
 TEST(MultiQueryUnionTest, MixedOutputKinds) {
-  for (bool share : kPlanModes) {
-    auto r = RunUnion("//a/@id | //b/text()", "<r><a id=\"x\"/><b>t</b></r>",
-                      share);
-    ASSERT_EQ(r.size(), 2u) << share;
-    EXPECT_EQ(r[0], "x");
-    EXPECT_EQ(r[1], "t");
-  }
+  auto r = RunUnion("//a/@id | //b/text()", "<r><a id=\"x\"/><b>t</b></r>");
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_EQ(r[0], "x");
+  EXPECT_EQ(r[1], "t");
 }
 
 TEST(MultiQueryUnionTest, ThreeBranches) {
-  for (bool share : kPlanModes) {
-    auto r = RunUnion("//a | //b | //c", "<r><c/><b/><a/></r>", share);
-    ASSERT_EQ(r.size(), 3u) << share;
-    // Document order: c, b, a.
-    EXPECT_EQ(r[0], "<c/>");
-    EXPECT_EQ(r[2], "<a/>");
-  }
+  auto r = RunUnion("//a | //b | //c", "<r><c/><b/><a/></r>");
+  ASSERT_EQ(r.size(), 3u);
+  // Document order: c, b, a.
+  EXPECT_EQ(r[0], "<c/>");
+  EXPECT_EQ(r[2], "<a/>");
 }
 
 TEST(MultiQueryUnionTest, BadBranchRejected) {
-  for (bool share : kPlanModes) {
-    MultiQueryEngine engine({}, PlanMode(share));
-    EXPECT_FALSE(engine.AddQuery("//a | [", nullptr).ok());
-    EXPECT_FALSE(engine.AddQuery("| //a", nullptr).ok());
-    EXPECT_FALSE(engine.AddQuery("//a |", nullptr).ok());
-    // A later branch the parser rejects fails the whole union and leaves
-    // nothing registered.
-    EXPECT_FALSE(engine.AddQuery("//a | //b[1]", nullptr).ok());
-    EXPECT_EQ(engine.query_count(), 0u);
-    EXPECT_EQ(engine.machine_count(), 0u);
-  }
+  MultiQueryEngine engine;
+  EXPECT_FALSE(engine.AddQuery("//a | [", nullptr).ok());
+  EXPECT_FALSE(engine.AddQuery("| //a", nullptr).ok());
+  EXPECT_FALSE(engine.AddQuery("//a |", nullptr).ok());
+  // A later branch the parser rejects fails the whole union and leaves
+  // nothing registered.
+  EXPECT_FALSE(engine.AddQuery("//a | //b[1]", nullptr).ok());
+  EXPECT_EQ(engine.query_count(), 0u);
+  EXPECT_EQ(engine.machine_count(), 0u);
 }
 
 TEST(MultiQueryUnionTest, PlainParserRejectsUnion) {
@@ -153,126 +124,118 @@ TEST(MultiQueryUnionTest, PlainParserRejectsUnion) {
 // fragment selected in consecutive documents must be reported in both —
 // suppression never carries across a document boundary.
 TEST(MultiQueryUnionTest, CrossDocumentDuplicateReportedInBothDocs) {
-  for (bool share : kPlanModes) {
-    VectorResultCollector results;
-    MultiQueryEngine engine({}, PlanMode(share));
-    ASSERT_TRUE(engine.AddQuery("//a | //*[b]", &results).ok());
-    const char* doc = "<r><a><b/></a><a/></r>";
-    ASSERT_TRUE(engine.RunString(doc).ok());
-    EXPECT_EQ(results.size(), 2u);
-    engine.ResetStream();
-    ASSERT_TRUE(engine.RunString(doc).ok());
-    // Identical fragments, identical sequence keys — still reported again.
-    EXPECT_EQ(results.size(), 4u) << share;
-  }
+  VectorResultCollector results;
+  MultiQueryEngine engine;
+  ASSERT_TRUE(engine.AddQuery("//a | //*[b]", &results).ok());
+  const char* doc = "<r><a><b/></a><a/></r>";
+  ASSERT_TRUE(engine.RunString(doc).ok());
+  EXPECT_EQ(results.size(), 2u);
+  engine.ResetStream();
+  ASSERT_TRUE(engine.RunString(doc).ok());
+  // Identical fragments, identical sequence keys — still reported again.
+  EXPECT_EQ(results.size(), 4u);
 }
 
 // The same across chained RunEvents documents, which never pass through
 // ResetStream: the dispatcher's document generation alone retires the
 // previous document's entries.
 TEST(MultiQueryUnionTest, CrossDocumentDuplicateReportedAcrossRunEvents) {
-  for (bool share : kPlanModes) {
-    VectorResultCollector results;
-    MultiQueryEngine engine({}, PlanMode(share));
-    ASSERT_TRUE(engine.AddQuery("//a | //*[b]", &results).ok());
-    xml::SaxParserOptions record;
-    record.symbols = engine.symbols();
-    auto log = xml::RecordEvents("<r><a><b/></a><a/></r>", record);
-    ASSERT_TRUE(log.ok());
-    for (int doc = 1; doc <= 3; ++doc) {
-      ASSERT_TRUE(engine.RunEvents(log.value()).ok());
-      EXPECT_EQ(results.size(), 2u * static_cast<size_t>(doc)) << share;
-    }
+  VectorResultCollector results;
+  MultiQueryEngine engine;
+  ASSERT_TRUE(engine.AddQuery("//a | //*[b]", &results).ok());
+  xml::SaxParserOptions record;
+  record.symbols = engine.symbols();
+  auto log = xml::RecordEvents("<r><a><b/></a><a/></r>", record);
+  ASSERT_TRUE(log.ok());
+  for (int doc = 1; doc <= 3; ++doc) {
+    ASSERT_TRUE(engine.RunEvents(log.value()).ok());
+    EXPECT_EQ(results.size(), 2u * static_cast<size_t>(doc));
   }
 }
 
 // The versioned seen-set keeps suppressing within-document duplicates after
 // many document boundaries (the table is reused in place, never rebuilt).
 TEST(MultiQueryUnionTest, DedupStableAcrossManyDocuments) {
-  for (bool share : kPlanModes) {
-    VectorResultCollector results;
-    MultiQueryEngine engine({}, PlanMode(share));
-    ASSERT_TRUE(engine.AddQuery("//a | //*", &results).ok());
-    for (int doc = 0; doc < 50; ++doc) {
-      results.Clear();
-      ASSERT_TRUE(engine.RunString("<r><a/><a/><a/></r>").ok());
-      // //* selects all 4 elements; //a re-selects the 3 <a/>s.
-      EXPECT_EQ(results.size(), 4u) << share << " doc " << doc;
-      engine.ResetStream();
-    }
+  VectorResultCollector results;
+  MultiQueryEngine engine;
+  ASSERT_TRUE(engine.AddQuery("//a | //*", &results).ok());
+  for (int doc = 0; doc < 50; ++doc) {
+    results.Clear();
+    ASSERT_TRUE(engine.RunString("<r><a/><a/><a/></r>").ok());
+    // //* selects all 4 elements; //a re-selects the 3 <a/>s.
+    EXPECT_EQ(results.size(), 4u) << "doc " << doc;
+    engine.ResetStream();
   }
 }
 
 TEST(MultiQueryUnionTest, ResetStreamClearsDedupState) {
-  for (bool share : kPlanModes) {
-    VectorResultCollector results;
-    MultiQueryEngine engine({}, PlanMode(share));
-    ASSERT_TRUE(engine.AddQuery("//a | //*", &results).ok());
-    ASSERT_TRUE(engine.RunString("<a/>").ok());
-    EXPECT_EQ(results.size(), 1u);
-    engine.ResetStream();
-    ASSERT_TRUE(engine.RunString("<a/>").ok());
-    // Same sequence numbers in the new document must not be suppressed.
-    EXPECT_EQ(results.size(), 2u) << share;
-  }
+  VectorResultCollector results;
+  MultiQueryEngine engine;
+  ASSERT_TRUE(engine.AddQuery("//a | //*", &results).ok());
+  ASSERT_TRUE(engine.RunString("<a/>").ok());
+  EXPECT_EQ(results.size(), 1u);
+  engine.ResetStream();
+  ASSERT_TRUE(engine.RunString("<a/>").ok());
+  // Same sequence numbers in the new document must not be suppressed.
+  EXPECT_EQ(results.size(), 2u);
 }
 
 // Registered from pre-built machines, as StreamService does: one QueryId,
-// deduplicated deliveries, and the branches must agree on their handler.
+// deduplicated deliveries into the one handler passed at registration.
 TEST(MultiQueryUnionTest, AddBuiltBranchesFormOneSubscription) {
-  for (bool share : kPlanModes) {
-    MultiQueryEngine engine({}, PlanMode(share));
-    VectorResultCollector results, other;
-    std::vector<BuiltMachine> branches;
-    for (const char* q : {"//a", "//*[b]"}) {
-      auto built = TwigMBuilder::Build(q, &results, {}, engine.symbols());
-      ASSERT_TRUE(built.ok());
-      branches.push_back(std::move(built).value());
-    }
-    auto id = engine.AddBuilt(std::move(branches));
-    ASSERT_TRUE(id.ok()) << id.status();
-    EXPECT_EQ(engine.query_count(), 1u);
-    ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
-    EXPECT_EQ(results.size(), 2u) << share;
-
-    std::vector<BuiltMachine> mixed;
-    for (ResultHandler* handler : {static_cast<ResultHandler*>(&results),
-                                   static_cast<ResultHandler*>(&other)}) {
-      auto built = TwigMBuilder::Build("//c", handler, {}, engine.symbols());
-      ASSERT_TRUE(built.ok());
-      mixed.push_back(std::move(built).value());
-    }
-    engine.ResetStream();
-    EXPECT_TRUE(engine.AddBuilt(std::move(mixed)).status().IsInvalidArgument());
-    EXPECT_EQ(engine.query_count(), 1u);
+  MultiQueryEngine engine;
+  VectorResultCollector results, other;
+  std::vector<BuiltMachine> branches;
+  for (const char* q : {"//a", "//*[b]"}) {
+    auto built = TwigMBuilder::Build(q, {}, engine.symbols());
+    ASSERT_TRUE(built.ok());
+    branches.push_back(std::move(built).value());
   }
+  auto id = engine.AddBuilt(std::move(branches), &results);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(engine.query_count(), 1u);
+  ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
+  EXPECT_EQ(results.size(), 2u);
+
+  // One branch built against another table fails the whole union, and
+  // nothing of it is registered.
+  SymbolTable foreign;
+  std::vector<BuiltMachine> mixed;
+  for (SymbolTable* table : {engine.symbols(), &foreign}) {
+    auto built = TwigMBuilder::Build("//c", {}, table);
+    ASSERT_TRUE(built.ok());
+    mixed.push_back(std::move(built).value());
+  }
+  engine.ResetStream();
+  EXPECT_TRUE(
+      engine.AddBuilt(std::move(mixed), &other).status().IsInvalidArgument());
+  EXPECT_EQ(engine.query_count(), 1u);
+  EXPECT_EQ(engine.machine_count(), 2u);
 }
 
-// Churn: `p | p` puts both branches in one plan group (shared) or two
-// private machines; subscribing and unsubscribing it repeatedly must leave
-// no machine or member behind, and every cycle delivers each node once.
+// Churn: `p | p` puts both branches in one plan group; subscribing and
+// unsubscribing it repeatedly must leave no machine or member behind, and
+// every cycle delivers each node once.
 TEST(MultiQueryUnionTest, SelfUnionChurn) {
-  for (bool share : kPlanModes) {
-    MultiQueryEngine engine({}, PlanMode(share));
-    VectorResultCollector keep_results;
-    ASSERT_TRUE(engine.AddQuery("//b/text()", &keep_results).ok());
-    for (int cycle = 0; cycle < 20; ++cycle) {
-      VectorResultCollector results;
-      auto id = engine.AddQuery("//a[@k] | //a[@k]", &results);
-      ASSERT_TRUE(id.ok());
-      EXPECT_EQ(engine.query_count(), 2u);
-      EXPECT_EQ(engine.machine_count(), share ? 2u : 3u);
-      ASSERT_TRUE(
-          engine.RunString("<r><a k=\"1\"/><a/><a k=\"2\"/><b>t</b></r>")
-              .ok());
-      EXPECT_EQ(results.size(), 2u) << share << " cycle " << cycle;
-      engine.ResetStream();
-      ASSERT_TRUE(engine.RemoveQuery(id.value()).ok());
-      EXPECT_EQ(engine.query_count(), 1u);
-      EXPECT_EQ(engine.machine_count(), 1u);
-    }
-    EXPECT_EQ(keep_results.size(), 20u);
+  MultiQueryEngine engine;
+  VectorResultCollector keep_results;
+  ASSERT_TRUE(engine.AddQuery("//b/text()", &keep_results).ok());
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    VectorResultCollector results;
+    auto id = engine.AddQuery("//a[@k] | //a[@k]", &results);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(engine.query_count(), 2u);
+    EXPECT_EQ(engine.machine_count(), 2u);
+    ASSERT_TRUE(
+        engine.RunString("<r><a k=\"1\"/><a/><a k=\"2\"/><b>t</b></r>")
+            .ok());
+    EXPECT_EQ(results.size(), 2u) << "cycle " << cycle;
+    engine.ResetStream();
+    ASSERT_TRUE(engine.RemoveQuery(id.value()).ok());
+    EXPECT_EQ(engine.query_count(), 1u);
+    EXPECT_EQ(engine.machine_count(), 1u);
   }
+  EXPECT_EQ(keep_results.size(), 20u);
 }
 
 // Unsubscribing a union whose branches joined plan instances that other

@@ -2,8 +2,9 @@
 // (DESIGN.md §12): after a few warmup documents have grown every pool to
 // its steady-state high-water mark, replaying further documents through
 // MultiQueryEngine::RunEvents — the exact path StreamService shards drive —
-// must perform ZERO heap allocations, on both the shared-plan and
-// private-machine configurations.
+// must perform ZERO heap allocations, both with every query on one engine
+// (skeleton-sharing queries share plans) and with each query alone on its
+// own engine (the twigm::Engine shape, a one-group plan per query).
 //
 // This TU (and only this TU) replaces the global operator new/delete with
 // counting versions that tick vitex::ThreadAllocCounters(). The counters
@@ -131,8 +132,8 @@ std::string XmarkDoc() {
 }
 
 // The paper's PSD workload query plus shared-skeleton variants (same twig,
-// different literals — one shared plan, several groups when share_plans is
-// on), an element-output query (exercises the recording/candidate pools),
+// different literals — one shared plan, several groups when they share an
+// engine), an element-output query (exercises the recording/candidate pools),
 // a value-predicate query (exercises the comparison path) and a union whose
 // branches select overlapping nodes (exercises the dedup seen-set).
 std::vector<std::string> ProteinQueries() {
@@ -157,33 +158,46 @@ std::vector<std::string> XmarkQueries() {
   };
 }
 
-// Runs `doc` through a fresh engine: warmup documents grow the pools, then
-// kMeasuredDocs further replays must not touch the heap.
+// Registers `queries` on fresh engines — all on one, or each alone on its
+// own when `engine_per_query` — and replays `doc` through every engine:
+// warmup documents grow the pools, then kMeasuredDocs further replays must
+// not touch the heap.
 void ExpectZeroAllocSteadyState(const std::string& doc,
                                 const std::vector<std::string>& queries,
-                                bool share_plans) {
+                                bool engine_per_query) {
   ASSERT_TRUE(AllocCountingInstalled());
 
-  MultiQueryEngine::Options options;
-  options.share_plans = share_plans;
-  MultiQueryEngine engine({}, options);
-
+  std::vector<std::unique_ptr<MultiQueryEngine>> engines;
   std::vector<std::unique_ptr<CountingResultHandler>> sinks;
   for (const std::string& q : queries) {
+    if (engines.empty() || engine_per_query) {
+      engines.push_back(std::make_unique<MultiQueryEngine>());
+    }
     sinks.push_back(std::make_unique<CountingResultHandler>());
-    auto id = engine.AddQuery(q, sinks.back().get());
+    auto id = engines.back()->AddQuery(q, sinks.back().get());
     ASSERT_TRUE(id.ok()) << q << ": " << id.status().message();
   }
 
-  // Record once with the engine's symbol table, as StreamService does, so
-  // replay dispatches on pre-stamped symbols.
-  xml::SaxParserOptions record_options;
-  record_options.symbols = engine.symbols();
-  auto log = xml::RecordEvents(doc, record_options);
-  ASSERT_TRUE(log.ok()) << log.status().message();
+  // Record once per engine with its symbol table, as StreamService does,
+  // so replay dispatches on pre-stamped symbols.
+  std::vector<xml::EventLog> logs;
+  for (const auto& engine : engines) {
+    xml::SaxParserOptions record_options;
+    record_options.symbols = engine->symbols();
+    auto log = xml::RecordEvents(doc, record_options);
+    ASSERT_TRUE(log.ok()) << log.status().message();
+    logs.push_back(std::move(log).value());
+  }
+  auto replay_all = [&engines, &logs] {
+    bool ok = true;
+    for (size_t e = 0; e < engines.size(); ++e) {
+      ok = engines[e]->RunEvents(logs[e]).ok() && ok;
+    }
+    return ok;
+  };
 
   for (int i = 0; i < kWarmupDocs; ++i) {
-    ASSERT_TRUE(engine.RunEvents(log.value()).ok());
+    ASSERT_TRUE(replay_all());
   }
   uint64_t warm_results = 0;
   for (const auto& sink : sinks) warm_results += sink->count();
@@ -192,7 +206,7 @@ void ExpectZeroAllocSteadyState(const std::string& doc,
   AllocationScope scope;
   bool all_ok = true;
   for (int i = 0; i < kMeasuredDocs; ++i) {
-    all_ok = all_ok && engine.RunEvents(log.value()).ok();
+    all_ok = replay_all() && all_ok;
   }
   uint64_t allocations = scope.allocations();
   uint64_t bytes = scope.allocated_bytes();
@@ -200,7 +214,7 @@ void ExpectZeroAllocSteadyState(const std::string& doc,
   EXPECT_EQ(allocations, 0u)
       << "steady-state replay allocated " << allocations << " times ("
       << bytes << " bytes) over " << kMeasuredDocs
-      << " documents (share_plans=" << share_plans << ")";
+      << " documents (engine_per_query=" << engine_per_query << ")";
 
   // The documents actually produced results during the measured region —
   // the zero-alloc replay did real matching work.
@@ -211,22 +225,24 @@ void ExpectZeroAllocSteadyState(const std::string& doc,
 
 TEST(ZeroAllocTest, ProteinSharedPlans) {
   ExpectZeroAllocSteadyState(ProteinDoc(), ProteinQueries(),
-                             /*share_plans=*/true);
+                             /*engine_per_query=*/false);
 }
 
+// One single-subscription engine per query: the one-group plans
+// twigm::Engine runs.
 TEST(ZeroAllocTest, ProteinPrivateMachines) {
   ExpectZeroAllocSteadyState(ProteinDoc(), ProteinQueries(),
-                             /*share_plans=*/false);
+                             /*engine_per_query=*/true);
 }
 
 TEST(ZeroAllocTest, XmarkSharedPlans) {
   ExpectZeroAllocSteadyState(XmarkDoc(), XmarkQueries(),
-                             /*share_plans=*/true);
+                             /*engine_per_query=*/false);
 }
 
 TEST(ZeroAllocTest, XmarkPrivateMachines) {
   ExpectZeroAllocSteadyState(XmarkDoc(), XmarkQueries(),
-                             /*share_plans=*/false);
+                             /*engine_per_query=*/true);
 }
 
 // The counting hook itself: AllocationScope sees exactly the allocations

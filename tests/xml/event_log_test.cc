@@ -86,9 +86,7 @@ TEST(EventLogTest, TwigMOnReplayMatchesTwigMOnParse) {
     // stamps, so the dispatcher resolves every tag itself.
     auto log = RecordEvents(doc);
     ASSERT_TRUE(log.ok());
-    twigm::MultiQueryEngine::Options private_machines;
-    private_machines.share_plans = false;
-    twigm::MultiQueryEngine replay_engine({}, private_machines);
+    twigm::MultiQueryEngine replay_engine;
     twigm::VectorResultCollector replayed;
     ASSERT_TRUE(replay_engine.AddQuery(query, &replayed).ok());
     ASSERT_TRUE(replay_engine.RunEvents(log.value()).ok());

@@ -1,11 +1,10 @@
-// difftest_main: long-running differential fuzzer over the five evaluation
-// routes (DomEvaluator ground truth, single-query Engine, per-query
-// MultiQueryEngine with decoys, StreamService replay across 1-4 shards ×
-// 1-4 publisher streams (one published copy per stream), and the
-// shared-plan MultiQueryEngine). Odd iterations draw SharedSkeletonBatch
-// query families — literal/tag variants of one template — so the plan cache
-// is hammered with the subscriber-population shape it hash-conses. Designed
-// for overnight runs:
+// difftest_main: long-running differential fuzzer over the four evaluation
+// routes (DomEvaluator ground truth, single-query Engine, MultiQueryEngine
+// with decoys and shared plans, and StreamService replay across 1-4 shards
+// × 1-4 publisher streams (one published copy per stream)). Odd iterations
+// draw SharedSkeletonBatch query families — literal/tag variants of one
+// template — so the plan cache is hammered with the subscriber-population
+// shape it hash-conses. Designed for overnight runs:
 //
 //   ./difftest_main --iterations 100000 --seed 1 --workload all
 //       --repro-dir difftest_repros   (one command line)

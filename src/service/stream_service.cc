@@ -11,8 +11,8 @@
 #include "common/mutex.h"
 #include "common/stopwatch.h"
 #include "obs/prometheus.h"
-#include "twigm/builder.h"
 #include "xml/sax_parser.h"
+#include "xpath/query.h"
 
 namespace vitex::service {
 
@@ -103,10 +103,10 @@ struct StreamService::FlushGate {
 struct StreamService::ControlOp {
   enum class Kind { kSubscribe, kUnsubscribe, kFlush };
   Kind kind = Kind::kFlush;
-  SubscriptionId subscription = 0;           // kSubscribe / kUnsubscribe
-  std::vector<twigm::BuiltMachine> machines;  // kSubscribe: one per branch
-  std::shared_ptr<SubscriberSink> sink;       // kSubscribe
-  std::shared_ptr<FlushGate> gate;            // kFlush
+  SubscriptionId subscription = 0;      // kSubscribe / kUnsubscribe
+  std::vector<xpath::Query> branches;    // kSubscribe: compiled, one each
+  std::shared_ptr<SubscriberSink> sink;  // kSubscribe
+  std::shared_ptr<FlushGate> gate;       // kFlush
 };
 
 // Stage-tracing context shared by one document's N shard replays: the
@@ -304,6 +304,20 @@ bool StreamService::ShardHandles(const Shard& shard,
 // Caller-facing API.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Calls fn(name) for each name the machines of `branches` would intern.
+template <typename Fn>
+void ForEachMachineName(const std::vector<xpath::Query>& branches, Fn fn) {
+  for (const xpath::Query& branch : branches) {
+    for (const auto& node : branch.nodes()) {
+      if (twigm::TwigMachine::InternsName(*node)) fn(node->name);
+    }
+  }
+}
+
+}  // namespace
+
 bool StreamService::EmitControl(std::shared_ptr<ControlOp> op) {
   // Push the marker into every stream queue while holding control_mu_ (the
   // caller does): concurrent control ops therefore appear in the SAME
@@ -339,6 +353,29 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
   // a union compiles to one query per branch.
   VITEX_ASSIGN_OR_RETURN(std::vector<xpath::Query> branches,
                          xpath::ParseAndCompileUnion(xpath));
+  // The owning shard builds a machine only on a plan miss, against the
+  // frozen table, so every name a machine would intern must be in the
+  // table before the op is emitted. Look them up under the shared lock,
+  // alongside the parser streams; only a name the table lacks takes the
+  // writer lock, which quiesces them, to mint it. A plain scoped block,
+  // not a lambda: the thread safety analysis checks the Unfreeze/Freeze
+  // capability requirements right here, where the lock is visibly held
+  // (DESIGN.md §11).
+  bool missing_name = false;
+  {
+    ReaderMutexLock symbols_lock(symbols_.mu());
+    ForEachMachineName(branches, [&](const std::string& name) {
+      if (symbols_.Lookup(name) == kNoSymbol) missing_name = true;
+    });
+  }
+  if (missing_name) {
+    WriterMutexLock symbols_lock(symbols_.mu());
+    symbols_.Unfreeze();
+    ForEachMachineName(branches, [&](const std::string& name) {
+      (void)symbols_.Intern(name);
+    });
+    symbols_.Freeze();
+  }
   std::shared_ptr<DrainBuffer> buffer;
   if (options.mode == DeliveryMode::kPull) {
     buffer = std::make_shared<DrainBuffer>();
@@ -354,33 +391,9 @@ Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath,
   auto op = std::make_shared<ControlOp>();
   op->kind = ControlOp::Kind::kSubscribe;
   op->subscription = id;
+  op->branches = std::move(branches);
   op->sink = std::make_shared<SubscriberSink>(
       id, std::move(options.sink), &results_delivered_, &results_overflowed_);
-  op->machines.reserve(branches.size());
-  // Build the branch machines on this thread, under exclusive table
-  // access: parser streams hold symbols_.mu() shared for the duration of a
-  // parse, so the writer lock quiesces them for the (rare, O(|Q|)) moment
-  // interning happens. A plain scoped block, not a lambda: the thread
-  // safety analysis checks the Unfreeze/Freeze capability requirements
-  // right here, where the lock is visibly held (DESIGN.md §11).
-  Status built;
-  {
-    WriterMutexLock symbols_lock(symbols_.mu());
-    symbols_.Unfreeze();
-    for (xpath::Query& branch : branches) {
-      Result<twigm::BuiltMachine> machine = twigm::TwigMBuilder::Build(
-          std::make_unique<xpath::Query>(std::move(branch)),
-          options_.machine_options, &symbols_);
-      if (!machine.ok()) {
-        built = machine.status();
-        break;
-      }
-      op->machines.push_back(std::move(machine).value());
-    }
-    symbols_.Freeze();
-  }
-  VITEX_RETURN_IF_ERROR(built);
-
   {
     MutexLock lock(mu_);
     subscriptions_[id] = std::move(buffer);
@@ -787,8 +800,15 @@ void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
   switch (op->kind) {
     case ControlOp::Kind::kSubscribe: {
       if (shard->failed) break;
-      Result<twigm::QueryId> qid =
-          engine.AddBuilt(std::move(op->machines), op->sink.get());
+      // A plan miss builds a machine here, whose constructor interns the
+      // branch's names. Subscribe put them all in the table before
+      // emitting this op, so on the frozen table they are lookups; the
+      // shared lock orders them against the next writer.
+      Result<twigm::QueryId> qid = [&] {
+        ReaderMutexLock symbols_lock(symbols_.mu());
+        return engine.AddQuery(std::move(op->branches), op->sink.get(),
+                               options_.machine_options);
+      }();
       if (!qid.ok()) {
         RecordError(qid.status());
         break;
@@ -833,7 +853,7 @@ void StreamService::ShardLoop(Shard* shard) {
   size_t lanes_at_barrier = 0;
   // Ops force-applied during shutdown drain: stale copies of their marker
   // may still surface from other lanes and must not re-barrier (a flush
-  // gate decremented twice, a subscribe's machine moved-from twice).
+  // gate decremented twice, a subscribe's branches moved-from twice).
   std::unordered_set<const ControlOp*> force_applied;
 
   while (true) {

@@ -22,9 +22,9 @@
 //   * The shared SymbolTable is FROZEN (read-only) while streams run, so
 //     all M parser threads resolve symbols concurrently without write
 //     locks (parse-side resolution is lookup-only; misses stamp
-//     kAbsentSymbol). Control operations that must intern — subscription
-//     compiles — run through a serialized control lane that briefly
-//     quiesces the parsers, unfreezes the table, compiles, and refreezes.
+//     kAbsentSymbol). Only a Subscribe whose query names a tag or
+//     attribute the table lacks briefly quiesces the parsers to mint it:
+//     unfreeze, intern, refreeze.
 //   * Epoch discipline: every control op (Subscribe/Unsubscribe/Flush) is
 //     a MARKER pushed into every stream's queue, in one consistent order
 //     across streams. Stream threads forward markers to every shard lane
@@ -172,10 +172,11 @@ class StreamService {
   /// Registers a standing subscription with an explicit delivery mode
   /// (match_sink.h). `xpath` is a path or a union `p1 | p2 | ...`; a union
   /// delivers each selected node once per document. The query compiles
-  /// synchronously on this thread — building its machines is the one
-  /// place the shared SymbolTable is unfrozen, so the call briefly
-  /// quiesces the parser streams — and installs in its shard at this
-  /// call's epoch boundary. The subscription receives results for every
+  /// synchronously on this thread; if it names something the shared
+  /// SymbolTable lacks, the call unfreezes the table to intern it, briefly
+  /// quiescing the parser streams. It installs in its shard at this call's
+  /// epoch boundary, where a machine is built only if no plan instance
+  /// can take it. The subscription receives results for every
   /// document published after this call returns, and none published
   /// before it was called. In push mode, deliveries go straight to
   /// `options.sink` on the owning shard's thread and Drain(id) is an
@@ -228,8 +229,7 @@ class StreamService {
   /// below it the rates are 0 (division-by-near-zero guard).
   static constexpr double kMinRateUptimeSeconds = 0.1;
 
-  /// The /statsz payload (ROADMAP item 2 serves this over TCP): every
-  /// pipeline counter, queue watermark/stall gauge, per-shard dispatch
+  /// The /statsz payload: every pipeline counter, queue watermark/stall gauge, per-shard dispatch
   /// stat, and — when enable_tracing is on — the per-stage latency
   /// histograms with p50/p90/p99/max summaries, in Prometheus text
   /// exposition format. Thread-safe; snapshot semantics match stats().
@@ -263,19 +263,21 @@ class StreamService {
   StreamServiceOptions options_;
   // Shared by every stream's parser and every shard engine. FROZEN
   // (read-only) while streams run: stream threads hold symbols_.mu()
-  // shared for the duration of a parse and only Lookup; Subscribe holds it
-  // exclusive around Unfreeze → compile (interns) → Freeze, so mutation
-  // never overlaps a lookup — the capability lives in the table itself and
-  // the phase flips are REQUIRES-checked (DESIGN.md §11). Shard threads
-  // never touch the table: they consume stamped integer symbols off
-  // replayed events.
+  // shared for the duration of a parse and only Lookup; Subscribe looks
+  // its query's names up under the shared lock too, and holds it exclusive
+  // around Unfreeze → Intern → Freeze only to mint a name the table lacks,
+  // so mutation never overlaps a lookup — the capability lives in the
+  // table itself and the phase flips are REQUIRES-checked (DESIGN.md §11).
+  // Shard threads read it under the shared lock while registering a
+  // subscription (a plan miss's machine looks its names up); documents
+  // reach them as replayed events with stamped integer symbols.
   SymbolTable symbols_;
 
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // The serialized control lane: holds marker emission (and the compile
-  // that precedes it for Subscribe) so control ops are totally ordered.
+  // The serialized control lane: holds marker emission so control ops are
+  // totally ordered.
   Mutex control_mu_;
 
   // Held for the whole of Stop() so concurrent stops (destructor racing an

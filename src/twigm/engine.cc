@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "xpath/query.h"
+
 namespace vitex::twigm {
 
 Result<Engine> Engine::Create(std::string_view xpath,
@@ -12,17 +14,17 @@ Result<Engine> Engine::Create(std::string_view xpath,
 
 Result<Engine> Engine::Create(std::string_view xpath, ResultHandler* results,
                               Options options) {
-  // Compiling the plain path here (rather than AddQuery) is what rejects
-  // unions. A caller-supplied table (options.sax.symbols) becomes the
-  // engine's, so tables can be shared across pipelines.
+  // Compiling the plain path here (rather than passing the text to
+  // AddQuery) is what rejects unions. A caller-supplied table
+  // (options.sax.symbols) becomes the engine's, so tables can be shared
+  // across pipelines.
+  VITEX_ASSIGN_OR_RETURN(xpath::Query query, xpath::ParseAndCompile(xpath));
+  std::vector<xpath::Query> branches;
+  branches.push_back(std::move(query));
   auto engine = std::make_unique<MultiQueryEngine>(options.sax);
   VITEX_ASSIGN_OR_RETURN(
-      BuiltMachine built,
-      TwigMBuilder::Build(xpath, options.machine, engine->symbols()));
-  std::vector<BuiltMachine> branches;
-  branches.push_back(std::move(built));
-  VITEX_ASSIGN_OR_RETURN(QueryId id,
-                         engine->AddBuilt(std::move(branches), results));
+      QueryId id,
+      engine->AddQuery(std::move(branches), results, options.machine));
   return Engine(std::move(engine), id);
 }
 

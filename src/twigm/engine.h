@@ -1,7 +1,8 @@
 // Engine: the one-call public API of ViteX.
 //
 // Wires the four modules of the paper's Figure 2 together: XPath parser →
-// TwigM builder → SAX parser → TwigM machine. Feed XML bytes in, get query
+// TwigM builder (the machine's constructor, run by MultiQueryEngine on a
+// plan miss) → SAX parser → TwigM machine. Feed XML bytes in, get query
 // solutions out, incrementally.
 //
 //   vitex::twigm::VectorResultCollector results;

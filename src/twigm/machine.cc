@@ -12,21 +12,19 @@ using xpath::QueryNode;
 
 TwigMachine::TwigMachine(const xpath::Query* query, Options options,
                          SymbolTable* symbols)
-    : options_(options),
-      symbols_(symbols),
-      candidates_(&memory_) {
+    : options_(options), candidates_(&memory_) {
   assert(symbols != nullptr);
   nodes_.resize(query->size());
   for (const auto& qn : query->nodes()) {
     MachineNode& m = nodes_[qn->id];
     m.query = qn.get();
     m.parent_id = qn->parent == nullptr ? -1 : qn->parent->id;
+    // Intern the name test once; from here on the machine never touches
+    // the query's string storage on the hot path.
+    Symbol sym = InternsName(*qn) ? symbols->Intern(qn->name) : kNoSymbol;
     if (qn->IsAttributeNode()) {
       attribute_nodes_.push_back(qn->id);
-      attribute_node_symbols_.push_back(
-          qn->test == xpath::NodeTestKind::kWildcard
-              ? kNoSymbol
-              : symbols->Intern(qn->name));
+      attribute_node_symbols_.push_back(sym);  // kNoSymbol for '@*'
       if (qn->parent == nullptr) has_bare_attributes_ = true;
       if (qn->parent == nullptr || qn->descendant_attribute) {
         has_unanchored_attributes_ = true;
@@ -37,9 +35,6 @@ TwigMachine::TwigMachine(const xpath::Query* query, Options options,
     } else if (qn->test == xpath::NodeTestKind::kWildcard) {
       element_wildcards_.push_back(qn->id);
     } else {
-      // Intern the name test once; from here on the machine never touches
-      // the query's string storage on the hot path.
-      Symbol sym = symbols->Intern(qn->name);
       auto it = std::find_if(
           element_index_.begin(), element_index_.end(),
           [sym](const auto& entry) { return entry.first == sym; });

@@ -49,8 +49,10 @@ namespace vitex::twigm {
 /// literals. Group g's literal for slot s is
 /// `params[g * slot_count + s]` (group-major); slots are numbered in
 /// preorder of the query's value-tested nodes, matching
-/// xpath::CanonicalQuery::params. The engine mutates bindings only at
-/// document boundaries, while the machine is idle.
+/// xpath::CanonicalQuery::params. `group_count` is explicit because a
+/// skeleton without value tests has zero-width rows. The engine's plan
+/// instance owns the only copy and edits it (a group's row appended or
+/// erased) only at document boundaries, while the machine is idle.
 struct PlanBindings {
   size_t group_count = 0;
   size_t slot_count = 0;
@@ -144,15 +146,27 @@ class TwigMachine {
     size_t memory_limit_bytes = 0;
   };
 
+  /// Builds the machine in one pass over the query (paper §3.1: one
+  /// machine node per query node, linear in the query's size).
+  /// MultiQueryEngine constructs one on a plan miss.
   /// @param query must outlive the machine. Only the QueryNode tree is
   ///        referenced after construction (name tests are interned into the
-  ///        symbol table up front), so moving the Query *object* elsewhere —
-  ///        as BuiltMachine does — is safe; the nodes it owns stay put.
-  /// @param symbols the SymbolTable the machine's query names are interned
+  ///        symbol table up front), so moving the Query *object* elsewhere
+  ///        is safe; the nodes it owns stay put.
+  /// @param symbols the table the names InternsName() selects are interned
   ///        into: the dispatching engine's table, whose ids the dispatcher
-  ///        hands over with every tag. Must outlive the machine.
+  ///        hands over with every tag. On a frozen table every such name
+  ///        must already be present (Intern can then only look it up).
   TwigMachine(const xpath::Query* query, Options options,
               SymbolTable* symbols);
+
+  /// True if the constructor interns `node.name`: every element and
+  /// attribute name test except the '*' and '@*' wildcards (text() names
+  /// nothing). A caller that constructs machines against a frozen table
+  /// (StreamService) interns exactly these names before freezing it.
+  static bool InternsName(const xpath::QueryNode& node) {
+    return node.test == xpath::NodeTestKind::kName;
+  }
 
   TwigMachine(const TwigMachine&) = delete;
   TwigMachine& operator=(const TwigMachine&) = delete;
@@ -161,10 +175,9 @@ class TwigMachine {
   /// Binds this machine to its plan: value comparisons on slot nodes
   /// evaluate `bindings`' per-group literals, and solutions are delivered
   /// to `sink` with the qualifying group mask. Both must be non-null and
-  /// outlive the machine or a later BindPlan. The engine binds a machine
-  /// before its first document and rebinds only at document boundaries; it
-  /// may mutate `*bindings` between documents (the machine re-reads
-  /// group_count each StartDocument).
+  /// outlive the machine. The engine binds a machine once, when it
+  /// creates the plan instance, and then edits `*bindings` only between
+  /// documents (the machine re-reads group_count each StartDocument).
   /// Precondition: bindings->slot_count equals the query's value-tested
   /// node count and group_count <= 64 (checked).
   Status BindPlan(const PlanBindings* bindings, GroupResultSink* sink);
@@ -178,8 +191,6 @@ class TwigMachine {
   bool output_is_element() const { return output_is_element_; }
 
   // --- Introspection -------------------------------------------------------
-  /// The symbol table the match index is built against.
-  const SymbolTable& symbols() const { return *symbols_; }
   /// True if the query tests any element with '*' (dispatchers must
   /// broadcast every element event to this machine).
   bool has_element_wildcard() const { return !element_wildcards_.empty(); }
@@ -312,8 +323,6 @@ class TwigMachine {
   Status CheckMemoryLimit() const;
 
   Options options_;
-  // The table query name tests were interned into (the engine's).
-  const SymbolTable* symbols_;
 
   std::vector<MachineNode> nodes_;  // indexed by query node id
   // Match index: (tag symbol → query node ids in preorder), sorted by

@@ -112,20 +112,6 @@ uint32_t MultiQueryEngine::AllocateInstance(
   return index;
 }
 
-Status MultiQueryEngine::RebindInstance(PlanInstance* instance) {
-  instance->bindings.group_count = instance->group_params.size();
-  instance->bindings.params.clear();
-  instance->bindings.params.reserve(instance->group_params.size() *
-                                    instance->bindings.slot_count);
-  for (const auto& row : instance->group_params) {
-    assert(row.size() == instance->bindings.slot_count);
-    instance->bindings.params.insert(instance->bindings.params.end(),
-                                     row.begin(), row.end());
-  }
-  return instance->built->machine().BindPlan(&instance->bindings,
-                                             instance->sink.get());
-}
-
 void MultiQueryEngine::DestroyInstance(uint32_t index) {
   auto it = plan_index_.find(instances_[index]->plan_hash);
   if (it != plan_index_.end()) {
@@ -162,78 +148,66 @@ void MultiQueryEngine::AttachBranch(QueryId id, uint32_t instance,
   dispatcher_.InvalidateIndex();
 }
 
-Status MultiQueryEngine::AddBranch(QueryId id,
-                                   std::unique_ptr<xpath::Query> query,
-                                   TwigMachine::Options options,
-                                   std::unique_ptr<BuiltMachine> built) {
+Status MultiQueryEngine::AddBranch(QueryId id, xpath::Query query,
+                                   TwigMachine::Options options) {
   // Cache identity: the structural skeleton plus every machine option that
   // changes execution (subscriptions with different memory ceilings must
   // not share a machine).
-  const xpath::Query& canon_source =
-      built != nullptr ? built->query() : *query;
-  xpath::CanonicalQuery canon = xpath::Canonicalize(canon_source);
+  xpath::CanonicalQuery canon = xpath::Canonicalize(query);
   std::string opt_suffix =
       "|mem=" + std::to_string(options.memory_limit_bytes);
   std::string plan_key = canon.key + opt_suffix;
   uint64_t plan_hash = xpath::FnvHash64(opt_suffix, canon.hash);
 
   // Join an existing instance of this skeleton if one has room: the same
-  // parameter vector joins its group (pure fan-out member), a new vector
-  // adds a group (one more mask bit), and a skeleton that outgrew 64 groups
-  // chains to the next instance in the bucket.
+  // parameter row joins its group (pure fan-out member), a new row adds a
+  // group (one more mask bit), and a skeleton that outgrew 64 groups
+  // chains to the next instance in the bucket. The machine re-reads the
+  // group count at its next StartDocument, so nothing is rebound.
   auto bucket_it = plan_index_.find(plan_hash);
   if (bucket_it != plan_index_.end()) {
     for (uint32_t index : bucket_it->second) {
       PlanInstance* instance = instances_[index].get();
       if (instance->plan_key != plan_key) continue;  // hash collision
-      size_t group = instance->group_params.size();
-      for (size_t g = 0; g < instance->group_params.size(); ++g) {
-        if (instance->group_params[g] == canon.params) {
-          group = g;
-          break;
-        }
+      PlanBindings& bindings = instance->bindings;
+      size_t group = 0;
+      while (group < bindings.group_count &&
+             !std::equal(canon.params.begin(), canon.params.end(),
+                         bindings.params.begin() +
+                             group * bindings.slot_count)) {
+        ++group;
       }
-      bool new_group = group == instance->group_params.size();
+      bool new_group = group == bindings.group_count;
       if (new_group && group >= 64) continue;  // instance full, try next
       if (new_group) {
-        instance->group_params.push_back(std::move(canon.params));
-        instance->group_members.push_back({});
-        Status rebound = RebindInstance(instance);
-        assert(rebound.ok());
-        (void)rebound;
+        bindings.params.insert(bindings.params.end(), canon.params.begin(),
+                               canon.params.end());
+        ++bindings.group_count;
+        instance->group_members.emplace_back();
       }
-      // The branch's own query record: the one compiled for it, or — for
-      // a pre-built machine being discarded in favor of this instance —
-      // the query taken out of that machine (no recompilation).
       AttachBranch(id, index, static_cast<uint32_t>(group),
-                   query != nullptr ? std::move(query)
-                                    : std::move(*built).TakeQuery());
+                   std::make_unique<xpath::Query>(std::move(query)));
       ++plan_hits_;
       return Status::OK();
     }
   }
 
-  // First member of this skeleton (or all instances full): compile a
-  // fresh plan instance. An AddBuilt machine is adopted as the skeleton
-  // machine; an AddQuery branch moves its Query into the new machine.
-  if (built == nullptr) {
-    VITEX_ASSIGN_OR_RETURN(
-        BuiltMachine fresh,
-        TwigMBuilder::Build(std::move(query), options, symbols_));
-    built = std::make_unique<BuiltMachine>(std::move(fresh));
-  }
-  auto instance = std::make_unique<PlanInstance>();
-  instance->built = std::move(built);
+  // First member of this skeleton (or all instances full): the branch's
+  // Query moves into a fresh plan instance and a machine is built over it.
+  auto instance = std::make_unique<PlanInstance>(
+      this, std::make_unique<xpath::Query>(std::move(query)), options,
+      symbols_);
   instance->plan_key = std::move(plan_key);
   instance->plan_hash = plan_hash;
+  instance->bindings.group_count = 1;
   instance->bindings.slot_count = canon.params.size();
-  instance->group_params.push_back(std::move(canon.params));
-  instance->group_members.push_back({});
-  instance->sink = std::make_unique<GroupFanout>(this, instance.get());
-  VITEX_RETURN_IF_ERROR(RebindInstance(instance.get()));
+  instance->bindings.params = std::move(canon.params);
+  instance->group_members.emplace_back();
+  VITEX_RETURN_IF_ERROR(
+      instance->machine.BindPlan(&instance->bindings, &instance->sink));
   uint32_t index = AllocateInstance(std::move(instance));
   plan_index_[plan_hash].push_back(index);
-  AttachBranch(id, index, 0, std::move(query));  // null if moved above
+  AttachBranch(id, index, 0, /*query=*/nullptr);
   ++plan_misses_;
   return Status::OK();
 }
@@ -241,27 +215,14 @@ Status MultiQueryEngine::AddBranch(QueryId id,
 Result<QueryId> MultiQueryEngine::AddQuery(std::string_view xpath,
                                            ResultHandler* results,
                                            TwigMachine::Options options) {
-  if (started_) {
-    return Status::InvalidArgument(
-        "queries may be registered only at document boundaries");
-  }
   VITEX_ASSIGN_OR_RETURN(std::vector<xpath::Query> branches,
                          xpath::ParseAndCompileUnion(xpath));
-  QueryId id = NewSubscription(results, branches.size());
-  for (xpath::Query& branch : branches) {
-    Status added =
-        AddBranch(id, std::make_unique<xpath::Query>(std::move(branch)),
-                  options, /*built=*/nullptr);
-    if (!added.ok()) {
-      (void)RemoveQuery(id);  // unregisters the branches added so far
-      return added;
-    }
-  }
-  return id;
+  return AddQuery(std::move(branches), results, options);
 }
 
-Result<QueryId> MultiQueryEngine::AddBuilt(std::vector<BuiltMachine> branches,
-                                           ResultHandler* results) {
+Result<QueryId> MultiQueryEngine::AddQuery(std::vector<xpath::Query> branches,
+                                           ResultHandler* results,
+                                           TwigMachine::Options options) {
   if (started_) {
     return Status::InvalidArgument(
         "queries may be registered only at document boundaries");
@@ -269,22 +230,14 @@ Result<QueryId> MultiQueryEngine::AddBuilt(std::vector<BuiltMachine> branches,
   if (branches.empty()) {
     return Status::InvalidArgument("a subscription needs at least one branch");
   }
-  for (const BuiltMachine& branch : branches) {
-    if (&branch.machine().symbols() != symbols_) {
-      return Status::InvalidArgument(
-          "machine was built against a different SymbolTable; build it with "
-          "TwigMBuilder::Build(..., engine.symbols()) so dispatch symbols "
-          "agree");
+  for (const xpath::Query& branch : branches) {
+    if (branch.size() == 0) {
+      return Status::InvalidArgument("empty compiled query");
     }
   }
-  // Register against each machine's own compiled query: a join takes the
-  // Query out of the discarded machine for the branch's record, an adopt
-  // moves the whole machine in — either way nothing is recompiled.
   QueryId id = NewSubscription(results, branches.size());
-  for (BuiltMachine& branch : branches) {
-    TwigMachine::Options options = branch.machine().options();
-    Status added = AddBranch(id, /*query=*/nullptr, options,
-                             std::make_unique<BuiltMachine>(std::move(branch)));
+  for (xpath::Query& branch : branches) {
+    Status added = AddBranch(id, std::move(branch), options);
     if (!added.ok()) {
       (void)RemoveQuery(id);  // unregisters the branches added so far
       return added;
@@ -304,10 +257,13 @@ void MultiQueryEngine::DetachBranch(QueryId id, uint32_t branch_index) {
     // Last member of this plan: the machine goes with it.
     DestroyInstance(branch.instance);
   } else if (members.empty()) {
-    // The group's last member left: drop its mask bit and renumber the
-    // groups above it. Safe at a document boundary — no masks are live.
-    instance->group_params.erase(instance->group_params.begin() +
-                                 branch.group);
+    // The group's last member left: erase its literal row, which drops its
+    // mask bit, and renumber the groups above it. Safe at a document
+    // boundary — no masks are live.
+    PlanBindings& bindings = instance->bindings;
+    auto row = bindings.params.begin() + branch.group * bindings.slot_count;
+    bindings.params.erase(row, row + bindings.slot_count);
+    --bindings.group_count;
     instance->group_members.erase(instance->group_members.begin() +
                                   branch.group);
     for (size_t g = 0; g < instance->group_members.size(); ++g) {
@@ -316,9 +272,6 @@ void MultiQueryEngine::DetachBranch(QueryId id, uint32_t branch_index) {
             static_cast<uint32_t>(g);
       }
     }
-    Status rebound = RebindInstance(instance);
-    assert(rebound.ok());
-    (void)rebound;
   }
 }
 
@@ -344,7 +297,7 @@ Status MultiQueryEngine::RemoveQuery(QueryId id) {
 const xpath::Query& MultiQueryEngine::query(QueryId id) const {
   const Branch& branch = subs_[id]->branches.front();
   if (branch.query != nullptr) return *branch.query;
-  return instances_[branch.instance]->built->query();
+  return *instances_[branch.instance]->query;
 }
 
 Status MultiQueryEngine::Feed(std::string_view chunk) {
@@ -377,7 +330,7 @@ Status MultiQueryEngine::RunEvents(const xml::EventLog& log) {
 void MultiQueryEngine::ResetStream() {
   sax_->Reset();
   for (auto& instance : instances_) {
-    if (instance != nullptr) instance->built->machine().Reset();
+    if (instance != nullptr) instance->machine.Reset();
   }
   dispatcher_.ResetStream();
   dispatch_stats_ = DispatchStats();
@@ -388,7 +341,7 @@ size_t MultiQueryEngine::total_live_bytes() const {
   size_t total = dispatcher_.pending_text_bytes();
   for (const auto& instance : instances_) {
     if (instance != nullptr) {
-      total += instance->built->machine().memory().live_bytes();
+      total += instance->machine.memory().live_bytes();
     }
   }
   return total;
@@ -408,7 +361,7 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
   size_t posting_size = 0;
   for (const auto& instance : owner_->instances_) {
     if (instance == nullptr) continue;
-    for (const auto& entry : instance->built->machine().element_index()) {
+    for (const auto& entry : instance->machine.element_index()) {
       posting_size =
           std::max(posting_size, static_cast<size_t>(entry.first) + 1);
     }
@@ -433,7 +386,7 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
   min_memory_limit_ = 0;
   for (size_t i = 0; i < n; ++i) {
     if (owner_->instances_[i] == nullptr) continue;  // removed plan
-    const TwigMachine& m = owner_->instances_[i]->built->machine();
+    const TwigMachine& m = owner_->instances_[i]->machine;
     size_t limit = m.options().memory_limit_bytes;
     if (limit != 0 && (min_memory_limit_ == 0 || limit < min_memory_limit_)) {
       min_memory_limit_ = limit;

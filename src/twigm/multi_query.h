@@ -55,11 +55,11 @@
 //   ...
 //   engine.Finish();
 //
-// Callers that compile machines themselves must build them against this
-// engine's table (TwigMBuilder::Build(..., engine.symbols())); AddBuilt
-// rejects machines interned elsewhere, since their symbol ids would alias.
-// Each query keeps its own ResultHandler; a query's machine accessors see
-// the (possibly shared) plan machine executing it.
+// Callers that compile queries themselves (StreamService, twigm::Engine)
+// register the compiled branches instead of the text. Either way a machine
+// is built, against this engine's table, only for a branch that no plan
+// instance can take. Each query keeps its own ResultHandler; a query's
+// machine accessors see the (possibly shared) plan machine executing it.
 
 #ifndef VITEX_TWIGM_MULTI_QUERY_H_
 #define VITEX_TWIGM_MULTI_QUERY_H_
@@ -73,12 +73,12 @@
 
 #include "common/interner.h"
 #include "common/result.h"
-#include "twigm/builder.h"
 #include "twigm/machine.h"
 #include "twigm/result.h"
 #include "xml/event_log.h"
 #include "xml/sax_parser.h"
 #include "xpath/canonical.h"
+#include "xpath/query.h"
 
 namespace vitex::twigm {
 
@@ -156,24 +156,23 @@ class MultiQueryEngine {
   Result<QueryId> AddQuery(std::string_view xpath, ResultHandler* results,
                            TwigMachine::Options options = {});
 
-  /// Registers a subscription from pre-built machines, one per branch (for
-  /// callers that compile queries themselves, like StreamService): a
-  /// one-element vector is a path subscription, a longer one a union whose
-  /// `results` sees each selected node once per document, as with
-  /// AddQuery. Every machine must have been built against this engine's
-  /// symbols() table; InvalidArgument otherwise. A machine whose skeleton
-  /// and options match an existing instance is discarded in favor of it
-  /// (its compiled query is kept for query()); otherwise it becomes a new
-  /// plan instance. `results` must outlive the engine; may be null.
-  Result<QueryId> AddBuilt(std::vector<BuiltMachine> branches,
-                           ResultHandler* results);
+  /// The same from compiled queries, one per branch (what the text
+  /// overload compiles `xpath` to): a one-element vector is a path
+  /// subscription, a longer one a union. Each branch joins a plan instance
+  /// with its skeleton and `options` if one has room; only on a plan miss
+  /// is a machine built for it, interning its InternsName() names into
+  /// symbols() — on a frozen table they must already be there.
+  /// InvalidArgument for no branches or an empty (moved-from) query.
+  Result<QueryId> AddQuery(std::vector<xpath::Query> branches,
+                           ResultHandler* results,
+                           TwigMachine::Options options = {});
 
   /// Deregisters a query at a document boundary (subscription lifecycle:
   /// DESIGN.md §5). Each branch leaves its plan's subscriber group;
   /// the machine itself is dropped only when its last subscriber goes (plan
   /// refcounting), and the dispatch postings follow at the next rebuild.
   /// The ResultHandler is never touched again. The id's slot is recycled by
-  /// a *later* AddQuery/AddBuilt, so a removed id must not be used again —
+  /// a *later* AddQuery, so a removed id must not be used again —
   /// ids are stable only for live queries. InvalidArgument mid-document or
   /// for an id that is not live.
   Status RemoveQuery(QueryId id);
@@ -229,8 +228,7 @@ class MultiQueryEngine {
   /// It may serve other subscriptions too, so its stats aggregate across
   /// them.
   const TwigMachine& machine(QueryId id) const {
-    return instances_[subs_[id]->branches.front().instance]
-        ->built->machine();
+    return instances_[subs_[id]->branches.front().instance]->machine;
   }
 
   const DispatchStats& dispatch_stats() const { return dispatch_stats_; }
@@ -267,18 +265,27 @@ class MultiQueryEngine {
   };
 
   struct PlanInstance {
-    std::unique_ptr<BuiltMachine> built;
+    PlanInstance(MultiQueryEngine* owner, std::unique_ptr<xpath::Query> q,
+                 TwigMachine::Options options, SymbolTable* symbols)
+        : query(std::move(q)),
+          machine(query.get(), options, symbols),
+          sink(owner, this) {}
+
+    // The compiled query of the branch that created the instance, and the
+    // machine built over its nodes.
+    std::unique_ptr<xpath::Query> query;
+    TwigMachine machine;
     // Cache identity: skeleton key + machine options, FNV hash of the
     // same.
     std::string plan_key;
     uint64_t plan_hash = 0;
-    // Parameter groups: group g's literal vector and subscribers. Parallel
-    // to the group-major rows of `bindings`.
-    std::vector<std::vector<xpath::ValueParam>> group_params;
+    // Parameter groups: group g's literals are row g of `bindings`, its
+    // subscribers group_members[g] (so group_members.size() ==
+    // bindings.group_count).
+    PlanBindings bindings;
     std::vector<std::vector<Member>> group_members;
     size_t subscriber_count = 0;  // members across all groups
-    PlanBindings bindings;
-    std::unique_ptr<GroupFanout> sink;
+    GroupFanout sink;
   };
 
   // A union subscription's handler: forwards the first delivery of each
@@ -311,8 +318,8 @@ class MultiQueryEngine {
 
   // One branch of a subscription (a path subscription has one): its plan
   // instance and parameter group there, and its own compiled query — null
-  // when the Query was moved into the instance machine (query() then reads
-  // it from there).
+  // when the Query moved into the instance the branch created (query() then
+  // reads it from there).
   struct Branch {
     uint32_t instance = 0;
     uint32_t group = 0;
@@ -389,9 +396,7 @@ class MultiQueryEngine {
       bool output_is_element = false;   // may open recordings
     };
 
-    TwigMachine& machine(size_t i) {
-      return owner_->instances_[i]->built->machine();
-    }
+    TwigMachine& machine(size_t i) { return owner_->instances_[i]->machine; }
 
     // Appends machine `i` to targets_ if not yet visited this event.
     void AddTarget(size_t i, bool broadcast);
@@ -460,26 +465,20 @@ class MultiQueryEngine {
     size_t min_memory_limit_ = 0;  // 0 = no machine has a limit
   };
 
-  // Registration internals (shared by AddQuery and AddBuilt). A
-  // subscription slot is allocated first, then each branch joins or
-  // creates a plan instance; a branch that fails removes the whole
-  // subscription again.
+  // Registration internals. A subscription slot is allocated first, then
+  // each branch joins or creates a plan instance; a branch that fails
+  // removes the whole subscription again.
   QueryId NewSubscription(ResultHandler* handler, size_t branch_count);
-  // Exactly one of `query` (caller compiled the query; a machine is built
-  // on demand if no instance can be joined) and `built` (pre-built
-  // machine, adopted as a new instance or disassembled for its Query on a
-  // join) must be non-null.
-  Status AddBranch(QueryId id, std::unique_ptr<xpath::Query> query,
-                   TwigMachine::Options options,
-                   std::unique_ptr<BuiltMachine> built);
+  // Joins `query` to an instance of its plan, or — on a plan miss — builds
+  // a machine over it as a new instance (the one place a TwigMachine is
+  // constructed).
+  Status AddBranch(QueryId id, xpath::Query query,
+                   TwigMachine::Options options);
   void AttachBranch(QueryId id, uint32_t instance, uint32_t group,
                     std::unique_ptr<xpath::Query> query);
   void DetachBranch(QueryId id, uint32_t branch);
   QueryId AllocateSubscription(std::unique_ptr<Subscription> sub);
   uint32_t AllocateInstance(std::unique_ptr<PlanInstance> instance);
-  // Rewrites `instance`'s PlanBindings rows from group_params and rebinds
-  // the machine (document boundary only).
-  Status RebindInstance(PlanInstance* instance);
   void DestroyInstance(uint32_t index);
 
   // Slot i holds subscription id i; removed subscriptions leave a null

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "difftest/oracle.h"
 #include "twigm/multi_query.h"
 
 namespace vitex::service {
@@ -216,6 +217,102 @@ TEST(StreamServiceTest, ConcurrentSubscribeUnsubscribeWhilePublishing) {
   EXPECT_EQ(drained->size(), expected);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.documents_processed, static_cast<uint64_t>(kDocs));
+  EXPECT_EQ(stats.active_subscriptions, 1u);
+  EXPECT_TRUE(service.Stop().ok());
+}
+
+// Subscribe takes the symbol table's writer lock only to mint a name no
+// earlier query named; shards meanwhile build plan-miss machines under the
+// shared lock while the parser streams parse under it. The churners here
+// subscribe over tags no query has named (`//fresh_<t>_<k>[val]/@id`), so
+// every Subscribe mints while publishers publish and shards register. The
+// stable subscription's count must stay exact, and each fresh subscription
+// must deliver what the DOM selects from a document published after its
+// Subscribe returned.
+TEST(StreamServiceTest, FreshVocabularySubscribeChurnWhilePublishing) {
+  StreamServiceOptions options;
+  options.shard_count = 3;
+  options.stream_count = 2;
+  options.queue_capacity = 8;
+  StreamService service(options);
+
+  auto stable = service.Subscribe("//item0/val/text()");
+  ASSERT_TRUE(stable.ok());
+  ASSERT_TRUE(service.Flush().ok());
+
+  constexpr int kDocs = 60;
+  constexpr int kChurners = 3;
+  constexpr int kRounds = 24;
+  std::vector<std::string> docs;
+  std::vector<size_t> item0s;  // one <val> text result per <item0 ...>
+  for (int i = 0; i < kDocs; ++i) {
+    docs.push_back(MakeDoc(6, 8, i));
+    size_t n = 0;
+    for (size_t pos = docs.back().find("<item0 "); pos != std::string::npos;
+         pos = docs.back().find("<item0 ", pos + 1)) {
+      ++n;
+    }
+    item0s.push_back(n);
+  }
+  // One churner round: subscribe over a fresh tag (a mint), publish a
+  // document naming it, and check the deliveries against the DOM.
+  std::atomic<int> fresh_docs{0};
+  auto churn = [&service, &fresh_docs](int c) {
+    for (int k = 0; k < kRounds; ++k) {
+      std::string tag = "fresh_" + std::to_string(c) + "_" +
+                        std::to_string(k);
+      std::string query = "//" + tag + "[val]/@id";
+      auto id = service.Subscribe(query);
+      ASSERT_TRUE(id.ok()) << query;
+      std::string doc = "<feed><" + tag + " id=\"a" + std::to_string(k) +
+                        "\"><val>1</val></" + tag + "><" + tag +
+                        " id=\"b\"/><item1 id=\"c\"><val/></item1></feed>";
+      ASSERT_TRUE(service.Publish(doc).ok());
+      fresh_docs.fetch_add(1);
+      ASSERT_TRUE(service.Flush().ok());
+      auto drained = service.Drain(id.value());
+      ASSERT_TRUE(drained.ok());
+      difftest::ResultSet got;
+      for (Delivery& d : drained.value()) {
+        got.emplace_back(d.sequence, std::move(d.fragment));
+      }
+      std::sort(got.begin(), got.end());
+      auto dom = difftest::Oracle::RunDom(query, doc);
+      ASSERT_TRUE(dom.ok()) << dom.status();
+      ASSERT_EQ(dom->size(), 1u) << query;
+      EXPECT_EQ(got, dom.value()) << query;
+      ASSERT_TRUE(service.Unsubscribe(id.value()).ok());
+    }
+  };
+  // The publisher keeps publishing until every churner is done, so every
+  // mint overlaps parsing and shard registration.
+  std::atomic<int> churners_left{kChurners};
+  int published = 0;
+  size_t expected = 0;
+  std::thread publisher([&] {
+    for (int i = 0; i < kDocs || churners_left.load() > 0; ++i) {
+      ASSERT_TRUE(service.Publish(docs[i % kDocs]).ok());
+      expected += item0s[i % kDocs];
+      ++published;
+    }
+  });
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&churn, &churners_left, c] {
+      churn(c);
+      churners_left.fetch_sub(1);
+    });
+  }
+  for (auto& t : churners) t.join();
+  publisher.join();
+  ASSERT_TRUE(service.Flush().ok());
+
+  auto drained = service.Drain(stable.value());
+  ASSERT_TRUE(drained.ok());
+  EXPECT_EQ(drained->size(), expected);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.documents_processed,
+            static_cast<uint64_t>(published + fresh_docs.load()));
   EXPECT_EQ(stats.active_subscriptions, 1u);
   EXPECT_TRUE(service.Stop().ok());
 }

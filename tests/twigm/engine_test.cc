@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
-#include "twigm/builder.h"
 #include "workload/protein_generator.h"
+#include "xpath/query.h"
 
 namespace vitex::twigm {
 namespace {
@@ -20,7 +22,6 @@ TEST(EngineTest, CallerSuppliedSymbolTableIsHonored) {
   VectorResultCollector results;
   auto engine = Engine::Create("//widget", &results, options);
   ASSERT_TRUE(engine.ok());
-  EXPECT_EQ(&engine->machine().symbols(), &shared);
   EXPECT_NE(shared.Lookup("widget"), kNoSymbol);
   ASSERT_TRUE(engine->RunString("<r><widget/></r>").ok());
   EXPECT_EQ(results.size(), 1u);
@@ -124,35 +125,53 @@ TEST(EngineTest, MoveSemantics) {
   EXPECT_EQ(results.size(), 1u);
 }
 
+// The paper's TwigM builder (§3.1) is the machine's constructor, which
+// MultiQueryEngine runs on a plan miss. A query the caller compiled
+// registers as it is, without a second compile.
 TEST(BuilderTest, BuildFromPrecompiledQuery) {
   auto compiled = xpath::ParseAndCompile("//a[b]");
   ASSERT_TRUE(compiled.ok());
-  auto query = std::make_unique<xpath::Query>(std::move(compiled).value());
-  SymbolTable symbols;
-  auto built =
-      TwigMBuilder::Build(std::move(query), TwigMachine::Options(), &symbols);
-  ASSERT_TRUE(built.ok()) << built.status();
-  EXPECT_EQ(built->query().size(), 2u);
+  std::vector<xpath::Query> branches;
+  branches.push_back(std::move(compiled).value());
+  MultiQueryEngine engine;
+  VectorResultCollector results;
+  auto id = engine.AddQuery(std::move(branches), &results);
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_EQ(engine.query(id.value()).size(), 2u);
+  EXPECT_EQ(engine.machine_count(), 1u);
+  ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
+  EXPECT_EQ(results.size(), 1u);
 }
 
 TEST(BuilderTest, NullQueryRejected) {
-  SymbolTable symbols;
-  auto built = TwigMBuilder::Build(std::unique_ptr<xpath::Query>(),
-                                   TwigMachine::Options(), &symbols);
-  EXPECT_TRUE(built.status().IsInvalidArgument());
+  MultiQueryEngine engine;
+  EXPECT_TRUE(engine.AddQuery(std::vector<xpath::Query>(), nullptr)
+                  .status()
+                  .IsInvalidArgument());
+  auto compiled = xpath::ParseAndCompile("//a");
+  ASSERT_TRUE(compiled.ok());
+  std::vector<xpath::Query> branches;
+  branches.push_back(std::move(compiled).value());
+  xpath::Query taken = std::move(branches[0]);  // leaves an empty shell
+  EXPECT_TRUE(engine.AddQuery(std::move(branches), nullptr)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(engine.query_count(), 0u);
+  EXPECT_EQ(engine.machine_count(), 0u);
 }
 
 TEST(BuilderTest, MachineNodeCountEqualsQuerySize) {
   // Paper §3.1: one machine node per query node, built in linear time.
   for (const char* q : {"//a", "//a[b]", "//a[b][c]//d[e/f]//g"}) {
-    SymbolTable symbols;
-    auto built = TwigMBuilder::Build(q, TwigMachine::Options(), &symbols);
-    ASSERT_TRUE(built.ok());
-    EXPECT_GT(built->query().size(), 0u);
+    MultiQueryEngine engine;
+    auto id = engine.AddQuery(q, nullptr);
+    ASSERT_TRUE(id.ok());
+    const xpath::Query& query = engine.query(id.value());
+    EXPECT_GT(query.size(), 0u);
     // DebugString lists one "node N" line per machine node.
-    std::string dump = built->machine().DebugString();
+    std::string dump = engine.machine(id.value()).DebugString();
     size_t lines = std::count(dump.begin(), dump.end(), '\n');
-    EXPECT_EQ(lines, built->query().size()) << q;
+    EXPECT_EQ(lines, query.size()) << q;
   }
 }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "twigm/builder.h"
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "common/interner.h"
+#include "common/mutex.h"
 #include "twigm/engine.h"
 #include "twigm/multi_query.h"
+#include "xpath/query.h"
 
 namespace vitex::twigm {
 namespace {
@@ -215,19 +221,17 @@ TEST(MachineBasicTest, EmptyResultHandlerAllowed) {
 // Regression: the pre-symbol machine indexed element tests in a map keyed by
 // string_views into query-owned storage, so the machine's correctness hung
 // on the Query staying exactly where it was built. Name tests are now
-// interned into the engine's SymbolTable at construction; only the
-// heap-allocated QueryNode tree must stay alive, and the Query object itself
-// may be moved freely (as BuiltMachine and container reallocation do). The
-// dispatcher builds its index after the move, so a machine that kept a
-// pointer to the Query object would read freed memory here (ASan).
+// interned at construction; only the heap-allocated QueryNode tree must
+// stay alive, and the Query object itself may be moved freely. Everything
+// a dispatcher reads off the machine is read here after the move, so a
+// machine that kept a pointer to the Query object would read freed memory
+// (ASan).
 TEST(MachineBasicTest, MachineSurvivesQueryMove) {
   auto compiled = xpath::ParseAndCompile("//entry[meta/@kind = 'x']/payload");
   ASSERT_TRUE(compiled.ok());
   auto original = std::make_unique<xpath::Query>(std::move(compiled).value());
-  MultiQueryEngine engine;
-  VectorResultCollector results;
-  auto machine = std::make_unique<TwigMachine>(
-      original.get(), TwigMachine::Options(), engine.symbols());
+  SymbolTable symbols;
+  TwigMachine machine(original.get(), TwigMachine::Options(), &symbols);
 
   // Move the Query value out of its original home. The moved-from shell is
   // destroyed; the QueryNode tree now lives in (and is kept alive by) the
@@ -235,43 +239,89 @@ TEST(MachineBasicTest, MachineSurvivesQueryMove) {
   auto relocated = std::make_unique<xpath::Query>(std::move(*original));
   original.reset();
 
-  std::vector<BuiltMachine> branches;
-  branches.emplace_back(std::move(relocated), std::move(machine));
-  ASSERT_TRUE(engine.AddBuilt(std::move(branches), &results).ok());
-  ASSERT_TRUE(
-      engine
-          .RunString(
-              "<r><entry><meta kind=\"x\"/><payload>p1</payload></entry>"
-              "<entry><meta kind=\"y\"/><payload>p2</payload></entry></r>")
-          .ok());
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results.results()[0].fragment, "<payload>p1</payload>");
+  EXPECT_TRUE(machine.output_is_element());
+  EXPECT_FALSE(machine.has_element_wildcard());
+  EXPECT_FALSE(machine.has_unanchored_attributes());
+  ASSERT_EQ(machine.element_index().size(), 3u);  // entry, meta, payload
+  for (const auto& entry : machine.element_index()) {
+    for (int id : entry.second) {
+      EXPECT_EQ(symbols.name(entry.first),
+                relocated->nodes()[static_cast<size_t>(id)]->name);
+      EXPECT_EQ(machine.node_is_root(id), id == 0);
+    }
+  }
+  std::string dump = machine.DebugString();
+  EXPECT_EQ(static_cast<size_t>(std::count(dump.begin(), dump.end(), '\n')),
+            relocated->size());
 }
 
-// The bundled form: BuiltMachine values get moved through vectors and across
-// scopes; machines must keep matching afterwards.
-TEST(MachineBasicTest, BuiltMachineSurvivesRelocation) {
+// Compiled queries get moved through vectors and across scopes before they
+// are registered; each must still register and match.
+TEST(MachineBasicTest, CompiledQuerySurvivesRelocation) {
   MultiQueryEngine engine;
-  std::vector<BuiltMachine> fleet;
+  std::vector<xpath::Query> fleet;
   std::vector<std::unique_ptr<VectorResultCollector>> handlers;
   for (int i = 0; i < 16; ++i) {
     handlers.push_back(std::make_unique<VectorResultCollector>());
-    auto built = TwigMBuilder::Build("//tag_" + std::to_string(i),
-                                     TwigMachine::Options(), engine.symbols());
-    ASSERT_TRUE(built.ok());
-    fleet.push_back(std::move(built).value());  // repeated reallocation
+    auto compiled = xpath::ParseAndCompile("//tag_" + std::to_string(i));
+    ASSERT_TRUE(compiled.ok());
+    fleet.push_back(std::move(compiled).value());  // repeated reallocation
   }
   for (size_t i = 0; i < fleet.size(); ++i) {
-    std::vector<BuiltMachine> branches;
+    std::vector<xpath::Query> branches;
     branches.push_back(std::move(fleet[i]));
     ASSERT_TRUE(
-        engine.AddBuilt(std::move(branches), handlers[i].get()).ok());
+        engine.AddQuery(std::move(branches), handlers[i].get()).ok());
   }
   ASSERT_TRUE(engine.RunString("<r><tag_7/><tag_7/></r>").ok());
   EXPECT_EQ(handlers[7]->size(), 2u);
   for (int i = 0; i < 16; ++i) {
     if (i != 7) {
       EXPECT_EQ(handlers[i]->size(), 0u);
+    }
+  }
+}
+
+// StreamService interns the names TwigMachine::InternsName selects, freezes
+// the table, and only then lets a shard build the machine — so on the
+// frozen table every Intern the constructor makes must be a lookup. A name
+// the walk missed would assert in a debug build and, in a release build,
+// stamp kNoSymbol into the match index (for an element, sizing the
+// dispatcher's postings to 2^32; for an attribute, turning the test into
+// '@*'). Construction against an unfrozen table mints exactly what the
+// constructor interns, so comparing the two tables catches a miss in any
+// build.
+TEST(MachineBasicTest, InternsNameCoversConstruction) {
+  for (const char* text :
+       {"//a/b", "//*/c", "/a/*", "//a/@k", "//a/@*", "//@id", "//a//@k",
+        "//a//@*", "//a/text()", "//text()", "//a[b = '1']/c[@k > 2]",
+        "//a[not(b/text() = 'x')]//@*", "//x/y | //*[@z] | //w/text()"}) {
+    auto branches = xpath::ParseAndCompileUnion(text);
+    ASSERT_TRUE(branches.ok()) << text;
+    SymbolTable walked;
+    {
+      WriterMutexLock lock(walked.mu());
+      for (const xpath::Query& branch : branches.value()) {
+        for (const auto& node : branch.nodes()) {
+          if (TwigMachine::InternsName(*node)) walked.Intern(node->name);
+        }
+      }
+      walked.Freeze();
+    }
+    const size_t size = walked.size();
+    SymbolTable minted;  // build phase: the constructor mints what it needs
+    for (const xpath::Query& branch : branches.value()) {
+      TwigMachine machine(&branch, TwigMachine::Options(), &walked);
+      for (const auto& entry : machine.element_index()) {
+        EXPECT_LT(entry.first, size) << text;
+      }
+      TwigMachine unfrozen(&branch, TwigMachine::Options(), &minted);
+    }
+    EXPECT_EQ(walked.size(), size) << text;
+    ASSERT_EQ(minted.size(), size) << text;
+    for (Symbol s = 0; s < minted.size(); ++s) {
+      EXPECT_NE(walked.Lookup(minted.name(s)), kNoSymbol)
+          << text << ": " << minted.name(s);
     }
   }
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dom_reference.h"
-#include "twigm/builder.h"
 #include "twigm/engine.h"
 #include "workload/protein_generator.h"
 #include "workload/xmark_generator.h"
@@ -173,25 +172,6 @@ TEST(MultiQueryDispatchTest, PerEventWorkSublinearInRegisteredQueries) {
   uint64_t v64 = visits_with_n_queries(64);
   // Identical: the 63 extra machines are never visited.
   EXPECT_EQ(v64, v1);
-}
-
-TEST(MultiQueryDispatchTest, ForeignSymbolTableMachineRejected) {
-  MultiQueryEngine engine;
-  SymbolTable foreign;
-  auto built = TwigMBuilder::Build("//a", TwigMachine::Options(), &foreign);
-  ASSERT_TRUE(built.ok());
-  std::vector<BuiltMachine> branches;
-  branches.push_back(std::move(built).value());
-  auto added = engine.AddBuilt(std::move(branches), nullptr);
-  EXPECT_TRUE(added.status().IsInvalidArgument());
-
-  auto shared =
-      TwigMBuilder::Build("//a", TwigMachine::Options(), engine.symbols());
-  ASSERT_TRUE(shared.ok());
-  branches.clear();
-  branches.push_back(std::move(shared).value());
-  EXPECT_TRUE(engine.AddBuilt(std::move(branches), nullptr).ok());
-  EXPECT_TRUE(engine.RunString("<a/>").ok());
 }
 
 TEST(MultiQueryDispatchTest, MemoryLimitAppliesToBufferedText) {

@@ -19,6 +19,7 @@
 #include "dom_reference.h"
 #include "twigm/engine.h"
 #include "twigm/multi_query.h"
+#include "xpath/query.h"
 
 namespace vitex::twigm {
 namespace {
@@ -228,22 +229,22 @@ TEST(SharedPlanTest, AcceptanceVisitsFlatAt1024SubscriptionsOver16Skeletons) {
   }
 }
 
-// Pre-built machines (the StreamService path) join like AddQuery
-// subscriptions: the second machine shares the first one's skeleton, so it
-// is discarded in favor of the existing instance and its subscription
-// becomes a second group there, keeping its own handler and query text.
-TEST(SharedPlanTest, PrebuiltMachineJoinsExistingInstance) {
+// Compiled queries (the StreamService path) join like query text: the
+// second shares the first one's skeleton, so no machine is built for it —
+// its subscription becomes a second group of the existing instance,
+// keeping its own handler and query text.
+TEST(SharedPlanTest, CompiledQueryJoinsExistingInstance) {
   MultiQueryEngine engine;
   const std::string queries[] = {"//quote[@symbol = 'A']/price",
                                  "//quote[@symbol = 'B']/price"};
   VectorResultCollector results[2];
   QueryId ids[2];
   for (int i = 0; i < 2; ++i) {
-    auto built = TwigMBuilder::Build(queries[i], {}, engine.symbols());
-    ASSERT_TRUE(built.ok()) << built.status();
-    std::vector<BuiltMachine> branches;
-    branches.push_back(std::move(built).value());
-    auto id = engine.AddBuilt(std::move(branches), &results[i]);
+    auto compiled = xpath::ParseAndCompile(queries[i]);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    std::vector<xpath::Query> branches;
+    branches.push_back(std::move(compiled).value());
+    auto id = engine.AddQuery(std::move(branches), &results[i]);
     ASSERT_TRUE(id.ok()) << id.status();
     ids[i] = id.value();
   }

@@ -11,6 +11,7 @@
 #include "baseline/dom_evaluator.h"
 #include "twigm/engine.h"
 #include "twigm/multi_query.h"
+#include "xpath/query.h"
 #include "xml/dom.h"
 #include "xml/event_log.h"
 
@@ -180,35 +181,35 @@ TEST(MultiQueryUnionTest, ResetStreamClearsDedupState) {
   EXPECT_EQ(results.size(), 2u);
 }
 
-// Registered from pre-built machines, as StreamService does: one QueryId,
+// Registered from compiled branches, as StreamService does: one QueryId,
 // deduplicated deliveries into the one handler passed at registration.
-TEST(MultiQueryUnionTest, AddBuiltBranchesFormOneSubscription) {
+TEST(MultiQueryUnionTest, CompiledBranchesFormOneSubscription) {
   MultiQueryEngine engine;
   VectorResultCollector results, other;
-  std::vector<BuiltMachine> branches;
+  std::vector<xpath::Query> branches;
   for (const char* q : {"//a", "//*[b]"}) {
-    auto built = TwigMBuilder::Build(q, {}, engine.symbols());
-    ASSERT_TRUE(built.ok());
-    branches.push_back(std::move(built).value());
+    auto compiled = xpath::ParseAndCompile(q);
+    ASSERT_TRUE(compiled.ok());
+    branches.push_back(std::move(compiled).value());
   }
-  auto id = engine.AddBuilt(std::move(branches), &results);
+  auto id = engine.AddQuery(std::move(branches), &results);
   ASSERT_TRUE(id.ok()) << id.status();
   EXPECT_EQ(engine.query_count(), 1u);
   ASSERT_TRUE(engine.RunString("<r><a><b/></a><a/></r>").ok());
   EXPECT_EQ(results.size(), 2u);
 
-  // One branch built against another table fails the whole union, and
-  // nothing of it is registered.
-  SymbolTable foreign;
-  std::vector<BuiltMachine> mixed;
-  for (SymbolTable* table : {engine.symbols(), &foreign}) {
-    auto built = TwigMBuilder::Build("//c", {}, table);
-    ASSERT_TRUE(built.ok());
-    mixed.push_back(std::move(built).value());
+  // One empty (moved-from) branch fails the whole union, and nothing of it
+  // is registered.
+  std::vector<xpath::Query> mixed;
+  for (const char* q : {"//c", "//d"}) {
+    auto compiled = xpath::ParseAndCompile(q);
+    ASSERT_TRUE(compiled.ok());
+    mixed.push_back(std::move(compiled).value());
   }
+  xpath::Query taken = std::move(mixed[1]);
   engine.ResetStream();
   EXPECT_TRUE(
-      engine.AddBuilt(std::move(mixed), &other).status().IsInvalidArgument());
+      engine.AddQuery(std::move(mixed), &other).status().IsInvalidArgument());
   EXPECT_EQ(engine.query_count(), 1u);
   EXPECT_EQ(engine.machine_count(), 2u);
 }

@@ -262,9 +262,9 @@ Result<std::vector<ResultSet>> Oracle::RunService(
     VITEX_RETURN_IF_ERROR(service.Subscribe(d).status());
   }
   // One copy per stream: every parser thread parses the document
-  // concurrently and every shard merges stream_count lanes, so each query
-  // must deliver its result set exactly stream_count times — no copy lost
-  // to the merge, none duplicated.
+  // concurrently and pushes it into every shard inbox, so each query must
+  // deliver its result set exactly stream_count times — no copy lost at
+  // the epoch cut, none duplicated.
   for (size_t s = 0; s < stream_count; ++s) {
     VITEX_RETURN_IF_ERROR(service.PublishToStream(s, document));
   }

@@ -1,5 +1,6 @@
-// Bounded blocking queues: the backpressure primitives of the pub/sub
-// runtime (DESIGN.md §5, §9).
+// Bounded blocking queue: the backpressure primitive of the pub/sub
+// runtime (DESIGN.md §5, §9) — every stream's ingest queue and every
+// shard's inbox.
 //
 // BoundedQueue is a multi-producer / multi-consumer FIFO. Push blocks while
 // the queue is full, so a fast publisher is throttled to the speed of the
@@ -18,16 +19,10 @@
 //     empty, so shutdown never discards accepted work.
 //
 // Producer fairness: concurrent Push calls are admitted in arrival order
-// (a ticket turnstile), so one hot publisher thread cannot starve another
-// out of a full queue indefinitely — with M publisher streams feeding one
-// service this is what keeps per-caller latency bounded.
-//
-// BoundedQueueGroup is the multi-queue epoch-merge primitive (DESIGN.md
-// §9): N independently bounded FIFO lanes — one per producer — drained by
-// ONE consumer that can wait on "anything ready" across all lanes and can
-// cap, per lane, how many items it is willing to take (the cap is how a
-// shard holds back documents published after a pending subscribe's epoch
-// cut while still draining those published before it).
+// (a ticket turnstile), so one hot producer cannot starve another out of a
+// full queue indefinitely — with M publishers feeding a stream, or M
+// parser streams feeding a shard inbox, this is what keeps per-producer
+// latency bounded.
 //
 // Every internal field is GUARDED_BY the queue mutex and every wait
 // predicate is a REQUIRES-annotated method (DESIGN.md §11), so the lock
@@ -54,7 +49,6 @@
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/stopwatch.h"
@@ -250,210 +244,6 @@ class BoundedQueue {
   size_t high_watermark_ GUARDED_BY(mu_) = 0;
   uint64_t blocked_nanos_ GUARDED_BY(mu_) = 0;
   bool closed_ GUARDED_BY(mu_) = false;
-};
-
-/// A group of bounded FIFO lanes drained by ONE consumer.
-///
-/// Producers push into their own lane (per-lane capacity bound, blocking);
-/// the single consumer pops with PopReady, which waits on all lanes at once
-/// and can bound, per lane, how many items it is willing to have taken in
-/// total. That per-lane cap is the epoch-merge mechanism: when a service
-/// shard pops a pending control op's barrier marker from a lane, it caps
-/// that lane right there — items behind the marker wait, the other lanes
-/// keep draining — until the marker has arrived on every lane and the op
-/// applies. See DESIGN.md §9 for why consistently ordered markers plus
-/// these caps are deadlock-free under bounded lanes.
-template <typename T>
-class BoundedQueueGroup {
- public:
-  /// Per-lane cap value meaning "unlimited".
-  static constexpr uint64_t kNoLimit = ~static_cast<uint64_t>(0);
-
-  struct Popped {
-    size_t lane = 0;
-    T item;
-  };
-
-  BoundedQueueGroup(size_t lanes, size_t capacity)
-      : capacity_(capacity < 1 ? 1 : capacity),
-        lane_count_(lanes < 1 ? 1 : lanes),
-        lanes_(lane_count_) {}
-
-  BoundedQueueGroup(const BoundedQueueGroup&) = delete;
-  BoundedQueueGroup& operator=(const BoundedQueueGroup&) = delete;
-
-  size_t lanes() const { return lane_count_; }
-  size_t capacity() const { return capacity_; }
-
-  /// Blocks until `lane` has room, then enqueues. Returns false — without
-  /// enqueueing — if the lane is (or becomes) closed.
-  bool Push(size_t lane, T item) {
-    bool wake_consumer;
-    {
-      MutexLock lock(mu_);
-      Lane& l = lanes_[lane];
-      if (!LaneAdmits(l)) {
-        // A full lane means the consumer (shard) is the bottleneck; the
-        // accumulated wait is the per-group backpressure stall counter.
-        const int64_t blocked_from = MonotonicNanos();
-        ++push_waiters_;
-        do {
-          not_full_.Wait(mu_);
-        } while (!LaneAdmits(l));
-        --push_waiters_;
-        blocked_nanos_ += static_cast<uint64_t>(MonotonicNanos() - blocked_from);
-      }
-      if (l.closed) return false;
-      l.items.push_back(std::move(item));
-      ++l.pushed;
-      ++total_items_;
-      if (total_items_ > high_watermark_) high_watermark_ = total_items_;
-      // The single consumer is either parked (wake it) or spinning in
-      // PopReady and about to find this item on its own.
-      wake_consumer = consumer_waiting_;
-    }
-    if (wake_consumer) ready_.NotifyOne();  // single consumer
-    return true;
-  }
-
-  /// Pops the oldest item of a *ready* lane: non-empty, and with fewer than
-  /// `limits[lane]` items popped so far (`limits == nullptr` — no caps).
-  /// Ready lanes are served round-robin so no stream starves another.
-  /// Blocks while no lane is ready but some lane could still become ready
-  /// under these caps (open, below cap); returns nullopt once no lane can
-  /// (every lane closed-and-empty or at its cap). Single consumer only.
-  std::optional<Popped> PopReady(const uint64_t* limits) {
-    std::optional<Popped> out;
-    bool wake_producers = false;
-    // Spin phase: bounded probe rounds before parking (header comment).
-    const size_t spin_probes = queue_internal::SpinProbes();
-    for (size_t probe = 0; probe < spin_probes; ++probe) {
-      {
-        MutexLock lock(mu_);
-        PopAttempt result = TryPopReady(limits, &out);
-        if (result == PopAttempt::kExhausted) return std::nullopt;
-        if (result == PopAttempt::kPopped) wake_producers = push_waiters_ > 0;
-      }
-      if (out.has_value()) {
-        if (wake_producers) not_full_.NotifyAll();
-        return out;
-      }
-      queue_internal::RelaxBetweenProbes();
-    }
-    {
-      MutexLock lock(mu_);
-      while (true) {
-        PopAttempt result = TryPopReady(limits, &out);
-        if (result == PopAttempt::kPopped) break;
-        if (result == PopAttempt::kExhausted) return std::nullopt;
-        consumer_waiting_ = true;
-        ready_.Wait(mu_);
-        consumer_waiting_ = false;
-      }
-      wake_producers = push_waiters_ > 0;
-    }
-    if (wake_producers) not_full_.NotifyAll();
-    return out;
-  }
-
-  /// Closes one lane: its producer's future Push calls fail; queued items
-  /// still drain through PopReady. Idempotent.
-  void CloseLane(size_t lane) {
-    {
-      MutexLock lock(mu_);
-      lanes_[lane].closed = true;
-    }
-    not_full_.NotifyAll();
-    ready_.NotifyAll();
-  }
-
-  /// Items popped from `lane` so far (consumer-side epoch bookkeeping).
-  uint64_t popped(size_t lane) const {
-    MutexLock lock(mu_);
-    return lanes_[lane].popped;
-  }
-
-  size_t lane_size(size_t lane) const {
-    MutexLock lock(mu_);
-    return lanes_[lane].items.size();
-  }
-
-  /// Total items currently queued across lanes (stats snapshot).
-  size_t size() const {
-    MutexLock lock(mu_);
-    return total_items_;
-  }
-
-  /// Deepest the group has ever been, totalled across lanes.
-  size_t high_watermark() const {
-    MutexLock lock(mu_);
-    return high_watermark_;
-  }
-
-  /// Total nanoseconds producers have spent blocked pushing into any lane
-  /// of this group (the consumer was the bottleneck). Monotonic.
-  uint64_t producer_blocked_nanos() const {
-    MutexLock lock(mu_);
-    return blocked_nanos_;
-  }
-
- private:
-  struct Lane {
-    std::deque<T> items;
-    uint64_t pushed = 0;
-    uint64_t popped = 0;
-    bool closed = false;
-  };
-
-  enum class PopAttempt { kPopped, kWouldBlock, kExhausted };
-
-  /// The Push admission predicate for one lane: room below the per-lane
-  /// capacity (or closed, which releases the waiter to fail the push).
-  bool LaneAdmits(const Lane& l) const REQUIRES(mu_) {
-    return l.closed || l.items.size() < capacity_;
-  }
-
-  /// One round-robin sweep over the lanes: pops into *out and returns
-  /// kPopped, or reports whether any open lane could still become ready
-  /// under `limits` (kWouldBlock) versus none ever can (kExhausted).
-  PopAttempt TryPopReady(const uint64_t* limits, std::optional<Popped>* out)
-      REQUIRES(mu_) {
-    bool could_become_ready = false;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      size_t lane = (next_lane_ + i) % lanes_.size();
-      Lane& l = lanes_[lane];
-      if (limits != nullptr && l.popped >= limits[lane]) continue;
-      if (!l.items.empty()) {
-        Popped popped_item;
-        popped_item.lane = lane;
-        popped_item.item = std::move(l.items.front());
-        l.items.pop_front();
-        ++l.popped;
-        --total_items_;
-        next_lane_ = lane + 1;
-        *out = std::move(popped_item);
-        return PopAttempt::kPopped;
-      }
-      if (!l.closed) could_become_ready = true;
-    }
-    return could_become_ready ? PopAttempt::kWouldBlock
-                              : PopAttempt::kExhausted;
-  }
-
-  mutable Mutex mu_;
-  CondVar not_full_;
-  CondVar ready_;  // wakes the single consumer
-  // Producers parked on not_full_ / the consumer parked on ready_; a
-  // notify is skipped entirely while nobody is parked.
-  size_t push_waiters_ GUARDED_BY(mu_) = 0;
-  bool consumer_waiting_ GUARDED_BY(mu_) = false;
-  const size_t capacity_;
-  const size_t lane_count_;
-  std::vector<Lane> lanes_ GUARDED_BY(mu_);
-  size_t next_lane_ GUARDED_BY(mu_) = 0;  // round-robin cursor over ready lanes
-  size_t total_items_ GUARDED_BY(mu_) = 0;
-  size_t high_watermark_ GUARDED_BY(mu_) = 0;
-  uint64_t blocked_nanos_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace vitex::service

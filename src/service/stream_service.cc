@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <unordered_set>
 #include <utility>
 
 #include "common/mutex.h"
@@ -96,10 +95,11 @@ struct StreamService::FlushGate {
   size_t remaining GUARDED_BY(mu) = 0;
 };
 
-// One control operation, shared by the M×N marker copies that carry it
-// through every stream queue into every shard lane. Only the shard that
-// ShardHandles() the op touches its payload, exactly once, when its
-// barrier completes — so the non-const members need no locking.
+// One control operation. EmitControl pushes it as a marker into every
+// stream queue; the streams meet at the marker, and the last to arrive
+// pushes the op into the owning shard's inbox (every inbox, for a Flush).
+// Only that shard touches the subscription payload, so the non-const
+// members need no locking.
 struct StreamService::ControlOp {
   enum class Kind { kSubscribe, kUnsubscribe, kFlush };
   Kind kind = Kind::kFlush;
@@ -118,31 +118,28 @@ struct StreamService::DocTrace {
 };
 
 // What flows through a stream's ingest queue: a document to parse, or a
-// control marker to forward (in FIFO position) to every shard lane.
+// control marker at which every stream meets (DESIGN.md §9).
 struct StreamService::StreamItem {
   std::string document;
   int64_t publish_ns = 0;         // stamped by Publish when tracing
   std::shared_ptr<ControlOp> op;  // non-null == marker
 };
 
-// What flows through a shard inbox lane.
+// What flows through a shard inbox: a parsed document, or a control op at
+// its epoch boundary.
 struct StreamService::ShardItem {
-  enum class Kind { kDocument, kMarker };
-  Kind kind = Kind::kDocument;
-  std::shared_ptr<const xml::EventLog> log;  // kDocument
+  std::shared_ptr<const xml::EventLog> log;  // a document, or
+  std::shared_ptr<ControlOp> op;             // a control op
   int64_t enqueue_ns = 0;                    // fan-out time (tracing)
-  std::shared_ptr<DocTrace> trace;           // kDocument, tracing only
-  std::shared_ptr<ControlOp> op;             // kMarker
+  std::shared_ptr<DocTrace> trace;           // documents, tracing only
 };
 
 // One publisher stream: a bounded queue of raw documents (and control
 // markers) drained by this stream's parser thread. Counters are written by
 // that thread, read by stats().
 struct StreamService::Stream {
-  explicit Stream(size_t index_in, size_t queue_capacity)
-      : index(index_in), queue(queue_capacity) {}
+  explicit Stream(size_t queue_capacity) : queue(queue_capacity) {}
 
-  const size_t index;  // == this stream's lane on every shard inbox
   BoundedQueue<StreamItem> queue;
   std::thread thread;
 
@@ -157,19 +154,16 @@ struct StreamService::Stream {
   obs::Histogram* parse_hist = nullptr;        // the parse itself
 };
 
-// One worker shard: an M-lane inbox, a thread, and a private
-// MultiQueryEngine whose machines are this shard's slice of the
-// subscription set. Everything below `inbox` is touched only by the shard
-// thread, except the atomics and the mutex-guarded dispatch snapshot.
+// One worker shard: a FIFO inbox, a thread, and a private MultiQueryEngine
+// whose machines are this shard's slice of the subscription set.
+// Everything below `inbox` is touched only by the shard thread, except the
+// atomics and the mutex-guarded dispatch snapshot.
 struct StreamService::Shard {
-  Shard(size_t index_in, size_t lanes, size_t lane_capacity,
-        xml::SaxParserOptions sax_options)
-      : index(index_in),
-        inbox(lanes, lane_capacity),
+  Shard(size_t inbox_capacity, xml::SaxParserOptions sax_options)
+      : inbox(inbox_capacity),
         engine(std::make_unique<twigm::MultiQueryEngine>(sax_options)) {}
 
-  const size_t index;
-  BoundedQueueGroup<ShardItem> inbox;
+  BoundedQueue<ShardItem> inbox;
   std::unique_ptr<twigm::MultiQueryEngine> engine;
   std::thread thread;
   bool failed = false;  // fail-stop: skip further documents after an error
@@ -201,14 +195,17 @@ StreamService::StreamService(StreamServiceOptions options)
   size_t stream_count = std::max<size_t>(1, options_.stream_count);
   xml::SaxParserOptions shard_sax = options_.sax_options;
   shard_sax.symbols = &symbols_;
+  // Every stream feeds every inbox, so an inbox holds one ingest queue's
+  // worth of items per stream.
+  const size_t inbox_capacity =
+      std::max<size_t>(1, options_.queue_capacity) * stream_count;
   shards_.reserve(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        i, stream_count, options_.queue_capacity, shard_sax));
+    shards_.push_back(std::make_unique<Shard>(inbox_capacity, shard_sax));
   }
   streams_.reserve(stream_count);
   for (size_t i = 0; i < stream_count; ++i) {
-    streams_.push_back(std::make_unique<Stream>(i, options_.queue_capacity));
+    streams_.push_back(std::make_unique<Stream>(options_.queue_capacity));
   }
   if (options_.enable_tracing) {
     // All registration happens here, before any worker thread exists; the
@@ -226,7 +223,7 @@ StreamService::StreamService(StreamServiceOptions options)
       shard->queue_wait_hist = registry_.AddHistogram(
           "vitex_stage_shard_queue_wait_nanos",
           "Fan-out to shard pop: time a parsed document waited in a shard "
-          "inbox lane (ns)");
+          "inbox (ns)");
       shard->match_hist = registry_.AddHistogram(
           "vitex_stage_match_nanos",
           "Replay of one document through a shard's engine, including "
@@ -242,6 +239,10 @@ StreamService::StreamService(StreamServiceOptions options)
   {
     WriterMutexLock symbols_lock(symbols_.mu());
     symbols_.Freeze();
+  }
+  {
+    MutexLock lock(barrier_mu_);
+    live_streams_ = streams_.size();
   }
   for (auto& shard : shards_) {
     shard->thread = std::thread(&StreamService::ShardLoop, this, shard.get());
@@ -265,11 +266,12 @@ Status StreamService::Stop() {
     stopped_ = true;
   }
   // Closing the stream queues lets each parser thread drain what is
-  // already queued, then close its lane on every shard inbox (which
-  // likewise drains) — so work accepted before Stop() is still fully
-  // processed.
+  // already queued and leave the marker barrier. Once every stream has
+  // pushed its last item, closing the shard inboxes lets each shard drain
+  // the rest — so work accepted before Stop() is still fully processed.
   for (auto& stream : streams_) stream->queue.Close();
   for (auto& stream : streams_) stream->thread.join();
+  for (auto& shard : shards_) shard->inbox.Close();
   for (auto& shard : shards_) shard->thread.join();
   MutexLock lock(mu_);
   return first_error_;
@@ -290,14 +292,6 @@ size_t StreamService::ShardOf(SubscriptionId id) const {
   x *= 0x94d049bb133111ebull;
   x ^= x >> 31;
   return static_cast<size_t>(x % shards_.size());
-}
-
-bool StreamService::ShardHandles(const Shard& shard,
-                                 const ControlOp& op) const {
-  // Flush barriers every shard; subscription changes barrier only the
-  // shard that owns the subscription — other shards discard the marker.
-  if (op.kind == ControlOp::Kind::kFlush) return true;
-  return ShardOf(op.subscription) == shard.index;
 }
 
 // ---------------------------------------------------------------------------
@@ -321,15 +315,16 @@ void ForEachMachineName(const std::vector<xpath::Query>& branches, Fn fn) {
 bool StreamService::EmitControl(std::shared_ptr<ControlOp> op) {
   // Push the marker into every stream queue while holding control_mu_ (the
   // caller does): concurrent control ops therefore appear in the SAME
-  // relative order in every queue, which is what lets a shard treat "next
-  // marker on an unheld lane" as "marker of my pending op" (DESIGN.md §9).
+  // relative order in every queue, and a closed queue accepts nothing
+  // more, so each stream's markers are a prefix of one total order — what
+  // lets the streams meet at them (DESIGN.md §9).
   bool ok = true;
   for (auto& stream : streams_) {
     StreamItem item;
     item.op = op;
     // A closed queue means the service is stopping; keep emitting to the
-    // remaining streams so shards that do see the marker can still make
-    // progress, and let shutdown force-complete the rest.
+    // remaining streams. A stream that never sees the marker leaves the
+    // barrier when it drains, which completes the cut for the others.
     ok = stream->queue.Push(std::move(item)) && ok;
   }
   return ok;
@@ -653,12 +648,12 @@ std::string StreamService::StatszText() const {
   }
   for (size_t i = 0; i < s.shards.size(); ++i) {
     w.WriteGauge("vitex_shard_inbox_depth",
-                 "Items queued across the shard's inbox lanes",
+                 "Items queued in the shard's inbox",
                  shard_label(i), static_cast<double>(s.shards[i].queue_depth));
   }
   for (size_t i = 0; i < s.shards.size(); ++i) {
     w.WriteGauge("vitex_shard_inbox_high_watermark",
-                 "Deepest the shard's inbox has ever been (all lanes)",
+                 "Deepest the shard's inbox has ever been",
                  shard_label(i),
                  static_cast<double>(s.shards[i].queue_high_watermark));
   }
@@ -713,24 +708,55 @@ std::string StreamService::StatszText() const {
 // ---------------------------------------------------------------------------
 // Stream threads: parse once (concurrently with the other streams, under a
 // shared lock on the frozen SymbolTable), fan the event log out to every
-// shard; forward control markers in FIFO position.
+// shard; meet the other streams at each control marker.
 // ---------------------------------------------------------------------------
+
+void StreamService::MeetAtMarker(std::shared_ptr<ControlOp> op) {
+  MutexLock lock(barrier_mu_);
+  // Each stream's markers are a prefix of one total order, and no stream
+  // passes a marker before its cut completes, so every arrival in one
+  // phase carries the same op.
+  barrier_op_ = std::move(op);
+  if (++arrived_ == live_streams_) {
+    CompleteBarrier();
+    return;
+  }
+  const uint64_t phase = barrier_phase_;
+  while (barrier_phase_ == phase) barrier_cv_.Wait(barrier_mu_);
+}
+
+void StreamService::LeaveBarrier() {
+  MutexLock lock(barrier_mu_);
+  --live_streams_;
+  // This stream's queue closed before the marker the others are waiting
+  // at (the emit raced Stop()); no more arrivals are coming, so cut here.
+  if (arrived_ > 0 && arrived_ == live_streams_) CompleteBarrier();
+}
+
+void StreamService::CompleteBarrier() {
+  // Every live stream has pushed everything it popped before the marker,
+  // and none pushes anything after it until the phase advances below, so
+  // the op enters each inbox at one epoch boundary. Pushing while holding
+  // barrier_mu_ is safe: only stream threads take it, and shards drain
+  // their inboxes without waiting on anyone.
+  ShardItem item;
+  item.op = std::move(barrier_op_);
+  if (item.op->kind == ControlOp::Kind::kFlush) {
+    for (auto& shard : shards_) shard->inbox.Push(item);
+  } else {
+    shards_[ShardOf(item.op->subscription)]->inbox.Push(std::move(item));
+  }
+  arrived_ = 0;
+  ++barrier_phase_;
+  barrier_cv_.NotifyAll();
+}
 
 void StreamService::StreamLoop(Stream* stream) {
   xml::SaxParserOptions parse_options = options_.sax_options;
   parse_options.symbols = &symbols_;
   while (std::optional<StreamItem> item = stream->queue.Pop()) {
     if (item->op != nullptr) {
-      // Control marker: deliver to EVERY shard's lane before touching the
-      // next queue item. This "fully forwarded before the next item"
-      // invariant is what makes the shard barrier deadlock-free
-      // (DESIGN.md §9).
-      for (auto& shard : shards_) {
-        ShardItem marker;
-        marker.kind = ShardItem::Kind::kMarker;
-        marker.op = item->op;
-        shard->inbox.Push(stream->index, std::move(marker));
-      }
+      MeetAtMarker(std::move(item->op));
       continue;
     }
     // Stage tracing: ingest-queue wait ends and the parse begins now.
@@ -776,23 +802,19 @@ void StreamService::StreamLoop(Stream* stream) {
     }
     for (auto& shard : shards_) {
       ShardItem doc;
-      doc.kind = ShardItem::Kind::kDocument;
       doc.log = log;  // shared: one parse, N replays
       doc.enqueue_ns = parse_done_ns;
       doc.trace = trace;
-      shard->inbox.Push(stream->index, std::move(doc));  // backpressure
+      shard->inbox.Push(std::move(doc));  // backpressure
     }
   }
-  // Stream queue closed and drained: release this lane on every shard.
-  for (auto& shard : shards_) shard->inbox.CloseLane(stream->index);
+  // Stream queue closed and drained: stop counting toward the barrier.
+  LeaveBarrier();
 }
 
 // ---------------------------------------------------------------------------
-// Shard threads: merge the per-stream lanes, replaying documents into the
-// private engine and applying control ops at their epoch boundary — when
-// the op's marker has arrived on every lane. A lane that has delivered the
-// pending op's marker is held back (its cap) until the barrier completes,
-// so no document published after the op's epoch is replayed before it.
+// Shard threads: pop the inbox in order, replaying documents into the
+// private engine and applying each control op where the streams cut it.
 // ---------------------------------------------------------------------------
 
 void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
@@ -844,94 +866,40 @@ void StreamService::ApplyControl(Shard* shard, ControlOp* op) {
 }
 
 void StreamService::ShardLoop(Shard* shard) {
-  const size_t lanes = streams_.size();
-  // Per-lane pop counts (single consumer: these mirror the inbox's own
-  // counts) and the active caps. limits[l] == popped[l] freezes lane l.
-  std::vector<uint64_t> popped(lanes, 0);
-  std::vector<uint64_t> limits(lanes, BoundedQueueGroup<ShardItem>::kNoLimit);
-  std::shared_ptr<ControlOp> pending;  // barrier in progress
-  size_t lanes_at_barrier = 0;
-  // Ops force-applied during shutdown drain: stale copies of their marker
-  // may still surface from other lanes and must not re-barrier (a flush
-  // gate decremented twice, a subscribe's branches moved-from twice).
-  std::unordered_set<const ControlOp*> force_applied;
-
-  while (true) {
-    std::optional<BoundedQueueGroup<ShardItem>::Popped> next =
-        shard->inbox.PopReady(limits.data());
-    if (!next.has_value()) {
-      if (pending != nullptr) {
-        // Shutdown drain: some lane closed before delivering the pending
-        // op's marker (its emit raced Stop()). Epoch exactness is moot —
-        // every machine is about to be torn down — but flush gates must
-        // still release their waiters, so force-apply and keep draining.
-        ApplyControl(shard, pending.get());
-        force_applied.insert(pending.get());
-        pending.reset();
-        lanes_at_barrier = 0;
-        std::fill(limits.begin(), limits.end(),
-                  BoundedQueueGroup<ShardItem>::kNoLimit);
-        continue;
-      }
-      break;  // every lane closed and fully drained
-    }
-    const size_t lane = next->lane;
-    ++popped[lane];
-    ShardItem& item = next->item;
-    if (item.kind == ShardItem::Kind::kDocument) {
-      if (shard->failed) continue;  // fail-stop, but keep draining
-      const bool traced =
-          shard->match_hist != nullptr && item.trace != nullptr;
-      int64_t pop_ns = 0;
-      if (traced) {
-        pop_ns = MonotonicNanos();
-        shard->queue_wait_hist->Record(
-            static_cast<uint64_t>(pop_ns - item.enqueue_ns));
-      }
-      Status status = shard->engine->RunEvents(*item.log);
-      if (!status.ok()) {
-        shard->failed = true;
-        RecordError(status);
-        continue;
-      }
-      if (traced) {
-        int64_t done_ns = MonotonicNanos();
-        shard->match_hist->Record(static_cast<uint64_t>(done_ns - pop_ns));
-        // The last shard to finish this document owns its end-to-end
-        // latency sample.
-        if (item.trace->shards_remaining.fetch_sub(
-                1, std::memory_order_relaxed) == 1) {
-          e2e_hist_->Record(
-              static_cast<uint64_t>(done_ns - item.trace->publish_ns));
-        }
-      }
-      shard->documents.fetch_add(1, std::memory_order_relaxed);
-      shard->events.fetch_add(item.log->size(), std::memory_order_relaxed);
-      MutexLock lock(shard->dispatch_mu);
-      shard->dispatch = shard->engine->dispatch_stats();
+  while (std::optional<ShardItem> item = shard->inbox.Pop()) {
+    if (item->op != nullptr) {
+      ApplyControl(shard, item->op.get());
       continue;
     }
-    // Marker. Because ops enter every lane in one consistent order and a
-    // lane freezes once it delivers the pending op's marker, a marker
-    // popped while a barrier is pending is either that op's (from a lane
-    // that hadn't delivered it yet) or an older, not-handled-here op's.
-    if (force_applied.count(item.op.get()) != 0) continue;  // stale copy
-    if (pending != nullptr) {
-      if (item.op != pending) continue;  // older op, no barrier here
-    } else if (ShardHandles(*shard, *item.op)) {
-      pending = item.op;
-      lanes_at_barrier = 0;
-    } else {
-      continue;  // marker for another shard's subscription
+    if (shard->failed) continue;  // fail-stop, but keep draining
+    const bool traced = shard->match_hist != nullptr && item->trace != nullptr;
+    int64_t pop_ns = 0;
+    if (traced) {
+      pop_ns = MonotonicNanos();
+      shard->queue_wait_hist->Record(
+          static_cast<uint64_t>(pop_ns - item->enqueue_ns));
     }
-    limits[lane] = popped[lane];  // freeze this lane at the epoch boundary
-    if (++lanes_at_barrier == lanes) {
-      ApplyControl(shard, pending.get());
-      pending.reset();
-      lanes_at_barrier = 0;
-      std::fill(limits.begin(), limits.end(),
-                BoundedQueueGroup<ShardItem>::kNoLimit);
+    Status status = shard->engine->RunEvents(*item->log);
+    if (!status.ok()) {
+      shard->failed = true;
+      RecordError(status);
+      continue;
     }
+    if (traced) {
+      int64_t done_ns = MonotonicNanos();
+      shard->match_hist->Record(static_cast<uint64_t>(done_ns - pop_ns));
+      // The last shard to finish this document owns its end-to-end
+      // latency sample.
+      if (item->trace->shards_remaining.fetch_sub(
+              1, std::memory_order_relaxed) == 1) {
+        e2e_hist_->Record(
+            static_cast<uint64_t>(done_ns - item->trace->publish_ns));
+      }
+    }
+    shard->documents.fetch_add(1, std::memory_order_relaxed);
+    shard->events.fetch_add(item->log->size(), std::memory_order_relaxed);
+    MutexLock lock(shard->dispatch_mu);
+    shard->dispatch = shard->engine->dispatch_stats();
   }
 }
 

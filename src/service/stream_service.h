@@ -8,8 +8,8 @@
 //   Publish ──▶ [stream queue 0..M-1] ──▶ M parser threads ──▶ ┐
 //   Subscribe/Unsubscribe/Flush ──markers into every stream──▶ ┘
 //                                                              │
-//                              [per-shard inbox: M lanes, one per stream,
-//                               merged under a barrier-marker discipline]
+//                              [per-shard FIFO inbox; the streams meet at
+//                               each marker and the last one pushes the op]
 //                                                              │
 //                                  shard 0..N-1 threads, each a private
 //                                  MultiQueryEngine
@@ -27,10 +27,11 @@
 //     unfreeze, intern, refreeze.
 //   * Epoch discipline: every control op (Subscribe/Unsubscribe/Flush) is
 //     a MARKER pushed into every stream's queue, in one consistent order
-//     across streams. Stream threads forward markers to every shard lane
-//     in FIFO position; a shard applies the op once the marker has arrived
-//     on ALL of its lanes, holding back each lane at the point its marker
-//     appeared. Subscribe/Unsubscribe therefore apply at exact
+//     across streams. A stream thread that pops a marker waits until every
+//     live stream has reached it; the last to arrive pushes the op into
+//     the owning shard's inbox (a Flush into every inbox), behind every
+//     document published before the op and ahead of every one published
+//     after it. Subscribe/Unsubscribe therefore apply at exact
 //     document-epoch boundaries — a subscription sees every document
 //     published after the Subscribe call returned, and none published
 //     before it was called — and per-subscriber match order stays
@@ -77,8 +78,9 @@ struct StreamServiceOptions {
   /// PublishToStream pins a document to a stream when per-stream FIFO
   /// ordering matters to the caller.
   size_t stream_count = 1;
-  /// Capacity of each stream's ingest queue and of each per-shard inbox
-  /// lane. Smaller values bound memory harder and backpressure sooner.
+  /// Capacity of each stream's ingest queue; each shard inbox holds
+  /// queue_capacity × stream_count items. Smaller values bound memory
+  /// harder and backpressure sooner.
   size_t queue_capacity = 64;
   /// Parser options for the per-stream ingest parses. The `symbols` field
   /// is overridden with the service's shared table.
@@ -101,9 +103,9 @@ struct StreamServiceOptions {
 struct ShardStatsSnapshot {
   uint64_t documents = 0;  ///< documents fully processed by this shard
   uint64_t events = 0;     ///< SAX events replayed into this shard
-  size_t queue_depth = 0;  ///< items queued across this shard's inbox lanes
-  /// Deepest the inbox has ever been (all lanes totalled) — how close the
-  /// shard came to stalling its producers.
+  size_t queue_depth = 0;  ///< items queued in this shard's inbox
+  /// Deepest the inbox has ever been — how close the shard came to
+  /// stalling its producers.
   size_t queue_high_watermark = 0;
   /// Total ns parser streams spent blocked pushing into this shard's inbox
   /// (this shard was the pipeline bottleneck). Monotonic.
@@ -249,16 +251,24 @@ class StreamService {
   void StreamLoop(Stream* stream);
   void ShardLoop(Shard* shard);
   size_t ShardOf(SubscriptionId id) const;
-  bool ShardHandles(const Shard& shard, const ControlOp& op) const;
   void RecordError(const Status& status) EXCLUDES(mu_);
-  /// Applies one control op on the shard's thread, at its epoch boundary
-  /// (all lane markers arrived) or force-applied during shutdown drain.
+  /// Applies one control op on the shard's thread, in inbox order — the
+  /// stream barrier put it at its epoch boundary.
   void ApplyControl(Shard* shard, ControlOp* op);
   /// Pushes `op` as a marker into EVERY stream queue, under control_mu_ so
   /// concurrent ops enter all queues in one consistent total order (the
-  /// correctness precondition of the shard-side barrier; DESIGN.md §9).
+  /// correctness precondition of the stream barrier; DESIGN.md §9).
   /// Returns false if the service is stopping (some queue closed).
   bool EmitControl(std::shared_ptr<ControlOp> op) REQUIRES(control_mu_);
+  /// A stream thread that popped a marker: waits until every live stream
+  /// has reached it; the last to arrive completes the cut.
+  void MeetAtMarker(std::shared_ptr<ControlOp> op) EXCLUDES(barrier_mu_);
+  /// A stream thread whose queue closed and drained stops counting toward
+  /// the barrier, completing any cut the others are waiting at.
+  void LeaveBarrier() EXCLUDES(barrier_mu_);
+  /// Pushes barrier_op_ into its owning shard's inbox (a Flush into every
+  /// inbox) and releases the streams waiting at it.
+  void CompleteBarrier() REQUIRES(barrier_mu_);
 
   StreamServiceOptions options_;
   // Shared by every stream's parser and every shard engine. FROZEN
@@ -276,9 +286,19 @@ class StreamService {
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // The serialized control lane: holds marker emission so control ops are
-  // totally ordered.
+  // Held while EmitControl pushes a marker into every stream queue, so the
+  // markers of concurrent control ops enter every queue in one total order.
   Mutex control_mu_;
+
+  // The epoch cut (DESIGN.md §9): stream threads meet at each marker, and
+  // the last to arrive pushes the op into the shard inboxes. Only stream
+  // threads take barrier_mu_.
+  Mutex barrier_mu_;
+  CondVar barrier_cv_;
+  size_t live_streams_ GUARDED_BY(barrier_mu_) = 0;  // not yet drained
+  size_t arrived_ GUARDED_BY(barrier_mu_) = 0;       // at the current marker
+  std::shared_ptr<ControlOp> barrier_op_ GUARDED_BY(barrier_mu_);
+  uint64_t barrier_phase_ GUARDED_BY(barrier_mu_) = 0;  // completed cuts
 
   // Held for the whole of Stop() so concurrent stops (destructor racing an
   // explicit Stop) wait for the joins instead of returning early.

@@ -105,14 +105,10 @@ class CandidateStore {
   }
   uint64_t sequence(CandidateId id) const { return slot(id).sequence; }
 
-  /// Marks emission; returns false if it had already been emitted (the
-  /// caller must emit only on true).
-  bool MarkEmitted(CandidateId id) { return MarkEmitted(id, ~0ull) != 0; }
-
-  /// Shared-plan variant: marks emission towards the groups in `mask` and
-  /// returns the bits that had NOT been emitted before (the caller delivers
-  /// only those). One candidate may qualify for different groups through
-  /// different pattern matches; each group still sees it at most once.
+  /// Marks emission towards the plan groups in `mask` and returns the bits
+  /// that had NOT been emitted before (the caller delivers only those).
+  /// One candidate may qualify for different groups through different
+  /// pattern matches; each group still sees it at most once.
   uint64_t MarkEmitted(CandidateId id, uint64_t mask) {
     Slot& s = slot(id);
     uint64_t newly = mask & ~s.emitted_mask;
@@ -159,8 +155,7 @@ class CandidateStore {
   struct Slot {
     std::string fragment;
     uint64_t sequence = 0;
-    /// Groups this candidate has been delivered to (all-ones semantics for
-    /// single-query machines via the bool MarkEmitted overload).
+    /// Groups this candidate has been delivered to.
     uint64_t emitted_mask = 0;
     /// The document generation this slot was last created in; a slot whose
     /// stamp is stale holds only pooled capacity, never live state.

@@ -358,6 +358,9 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
   // symbols as "no interested query", which is exactly what a document-only
   // symbol is — and this keeps index rebuilds off the SymbolTable, so a
   // shared table may grow concurrently on another thread (DESIGN.md §5).
+  // The postings only ever grow, and a rebuild empties just the lists the
+  // previous build filled: a table never forgets a name, so after churn
+  // over unique tags a wholesale reset would walk its whole history.
   size_t posting_size = 0;
   for (const auto& instance : owner_->instances_) {
     if (instance == nullptr) continue;
@@ -366,8 +369,15 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
           std::max(posting_size, static_cast<size_t>(entry.first) + 1);
     }
   }
-  postings_.assign(posting_size, {});
-  dependent_postings_.assign(posting_size, {});
+  for (Symbol symbol : indexed_symbols_) {
+    postings_[symbol].clear();
+    dependent_postings_[symbol].clear();
+  }
+  indexed_symbols_.clear();
+  if (posting_size > postings_.size()) {
+    postings_.resize(posting_size);
+    dependent_postings_.resize(posting_size);
+  }
   info_.assign(n, MachineInfo());
   element_broadcast_.clear();
   attribute_machines_.clear();
@@ -412,6 +422,10 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
           is_entry = true;
           break;
         }
+      }
+      if (postings_[entry.first].empty() &&
+          dependent_postings_[entry.first].empty()) {
+        indexed_symbols_.push_back(entry.first);
       }
       (is_entry ? postings_ : dependent_postings_)[entry.first].push_back(
           static_cast<uint32_t>(i));

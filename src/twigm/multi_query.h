@@ -410,11 +410,13 @@ class MultiQueryEngine {
     MultiQueryEngine* owner_;
     bool index_built_ = false;
 
-    // symbol -> machines whose queries name that tag. Sized to the largest
+    // symbol -> machines whose queries name that tag. Grown to the largest
     // symbol any registered query interned (not the table's current size):
     // document-only symbols can never match, and not reading the table here
     // lets shards rebuild their index while another thread interns new
-    // query vocabulary into a shared table (DESIGN.md §5).
+    // query vocabulary into a shared table (DESIGN.md §5). Never shrunk: a
+    // rebuild clears only the lists named in indexed_symbols_, so its cost
+    // follows the live vocabulary, not the table's history.
     //
     // Split by reachability: postings_ holds *entry* symbols — tags that
     // match a query-root node, which can push with every stack empty — and
@@ -426,6 +428,7 @@ class MultiQueryEngine {
     // opened, not every subscriber of the tag.
     std::vector<std::vector<uint32_t>> postings_;
     std::vector<std::vector<uint32_t>> dependent_postings_;
+    std::vector<Symbol> indexed_symbols_;  // non-empty postings, last build
     std::vector<MachineInfo> info_;
     std::vector<uint32_t> element_broadcast_;  // wildcard machines
     std::vector<uint32_t> attribute_machines_;

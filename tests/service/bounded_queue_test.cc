@@ -273,176 +273,5 @@ TEST(BoundedQueueTest, ProducersAdmittedInArrivalOrder) {
   second.join();
 }
 
-// -------------------------------------------------------------------------
-// BoundedQueueGroup: the epoch-merge primitive (DESIGN.md §9).
-// -------------------------------------------------------------------------
-
-TEST(BoundedQueueGroupTest, LaneFifoAndCrossLaneAvailability) {
-  BoundedQueueGroup<int> g(3, 8);
-  EXPECT_EQ(g.lanes(), 3u);
-  ASSERT_TRUE(g.Push(0, 10));
-  ASSERT_TRUE(g.Push(0, 11));
-  ASSERT_TRUE(g.Push(2, 30));
-  EXPECT_EQ(g.size(), 3u);
-  EXPECT_EQ(g.lane_size(0), 2u);
-
-  std::vector<std::pair<size_t, int>> popped;
-  for (int i = 0; i < 3; ++i) {
-    auto p = g.PopReady(nullptr);
-    ASSERT_TRUE(p.has_value());
-    popped.push_back({p->lane, p->item});
-  }
-  // Lane FIFO: 10 before 11. Both lanes drained.
-  std::vector<int> lane0;
-  for (auto& [lane, item] : popped) {
-    if (lane == 0) lane0.push_back(item);
-  }
-  EXPECT_EQ(lane0, (std::vector<int>{10, 11}));
-  EXPECT_EQ(g.popped(0), 2u);
-  EXPECT_EQ(g.popped(2), 1u);
-  EXPECT_EQ(g.size(), 0u);
-}
-
-// A capped lane holds its items back while other lanes keep draining; the
-// cap lifting releases them — the shard-side barrier in miniature.
-TEST(BoundedQueueGroupTest, LimitsHoldBackACappedLane) {
-  BoundedQueueGroup<int> g(2, 8);
-  ASSERT_TRUE(g.Push(0, 1));
-  ASSERT_TRUE(g.Push(0, 2));
-  ASSERT_TRUE(g.Push(1, 100));
-  uint64_t limits[2] = {1, BoundedQueueGroup<int>::kNoLimit};
-  // Under the cap, lane 0 yields exactly one item; lane 1 keeps draining.
-  std::vector<int> seen;
-  for (int i = 0; i < 2; ++i) {
-    auto p = g.PopReady(limits);
-    ASSERT_TRUE(p.has_value());
-    seen.push_back(p->item);
-  }
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<int>{1, 100}));  // 2 is held back
-  EXPECT_EQ(g.lane_size(0), 1u);
-  // With both lanes closed, nullopt confirms the cap (not emptiness) was
-  // what held item 2 back...
-  g.CloseLane(0);
-  g.CloseLane(1);
-  EXPECT_FALSE(g.PopReady(limits).has_value());
-  // ...and lifting the cap releases it, even on a closed lane.
-  uint64_t open[2] = {BoundedQueueGroup<int>::kNoLimit,
-                      BoundedQueueGroup<int>::kNoLimit};
-  auto p = g.PopReady(open);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->item, 2);
-}
-
-TEST(BoundedQueueGroupTest, PopReadyBlocksUntilAnyLanePushes) {
-  BoundedQueueGroup<int> g(3, 4);
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    auto p = g.PopReady(nullptr);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_EQ(p->lane, 1u);
-    EXPECT_EQ(p->item, 42);
-    got.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(got.load());
-  ASSERT_TRUE(g.Push(1, 42));
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(BoundedQueueGroupTest, EndsOnlyWhenEveryLaneClosedAndDrained) {
-  BoundedQueueGroup<int> g(2, 4);
-  ASSERT_TRUE(g.Push(0, 7));
-  g.CloseLane(0);
-  EXPECT_FALSE(g.Push(0, 8));  // closed lane rejects
-  std::atomic<bool> ended{false};
-  std::thread consumer([&] {
-    std::vector<int> items;
-    while (auto p = g.PopReady(nullptr)) items.push_back(p->item);
-    EXPECT_EQ(items, (std::vector<int>{7, 9}));  // closed lane still drained
-    ended.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(ended.load());  // lane 1 still open: consumer must wait
-  ASSERT_TRUE(g.Push(1, 9));
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  g.CloseLane(1);
-  consumer.join();
-  EXPECT_TRUE(ended.load());
-}
-
-TEST(BoundedQueueGroupTest, LanePushBlocksAtCapacityUntilPop) {
-  BoundedQueueGroup<int> g(2, 1);
-  ASSERT_TRUE(g.Push(0, 1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(g.Push(0, 2));  // lane 0 full: blocks
-    second_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_FALSE(second_pushed.load());
-  ASSERT_TRUE(g.Push(1, 100));  // other lane unaffected by lane 0 being full
-  auto p = g.PopReady(nullptr);
-  ASSERT_TRUE(p.has_value());
-  producer.join();  // a pop (either lane order) made room eventually
-  EXPECT_TRUE(second_pushed.load());
-}
-
-// Multi-producer soak over the group: one producer per lane, caps cycling
-// on and off, everything delivered exactly once and in lane order.
-TEST(BoundedQueueGroupTest, ConcurrentProducersDrainExactlyOnceInLaneOrder) {
-  constexpr size_t kLanes = 4;
-  constexpr int kPerLane = 300;
-  BoundedQueueGroup<std::pair<size_t, int>> g(kLanes, 4);
-  std::vector<std::thread> producers;
-  for (size_t lane = 0; lane < kLanes; ++lane) {
-    producers.emplace_back([&g, lane] {
-      for (int i = 0; i < kPerLane; ++i) {
-        ASSERT_TRUE(g.Push(lane, {lane, i}));
-      }
-    });
-  }
-  std::array<int, kLanes> next{};
-  size_t total = 0;
-  std::array<uint64_t, kLanes> limits;
-  limits.fill(BoundedQueueGroup<std::pair<size_t, int>>::kNoLimit);
-  while (total < kLanes * kPerLane) {
-    // Periodically cap a lane at its current position to mimic a barrier,
-    // lifting the caps whenever every lane still owing items is capped
-    // (otherwise PopReady would wait forever on drained-but-open lanes).
-    bool uncapped_lane_owes = false;
-    for (size_t lane = 0; lane < kLanes; ++lane) {
-      constexpr auto kNoLimit =
-          BoundedQueueGroup<std::pair<size_t, int>>::kNoLimit;
-      if (limits[lane] == kNoLimit && next[lane] < kPerLane) {
-        uncapped_lane_owes = true;
-      }
-    }
-    if (!uncapped_lane_owes) {
-      limits.fill(BoundedQueueGroup<std::pair<size_t, int>>::kNoLimit);
-    }
-    auto p = g.PopReady(limits.data());
-    if (!p.has_value()) {
-      // Only possible when every open lane is capped; lift and continue.
-      limits.fill(BoundedQueueGroup<std::pair<size_t, int>>::kNoLimit);
-      continue;
-    }
-    const auto& [lane, i] = p->item;
-    ASSERT_EQ(lane, p->lane);
-    ASSERT_EQ(i, next[lane]) << "lane " << lane << " reordered";
-    ++next[lane];
-    ++total;
-    if (total % 97 == 0) limits[p->lane] = g.popped(p->lane);
-    if (total % 193 == 0) {
-      limits.fill(BoundedQueueGroup<std::pair<size_t, int>>::kNoLimit);
-    }
-  }
-  for (auto& t : producers) t.join();
-  for (size_t lane = 0; lane < kLanes; ++lane) g.CloseLane(lane);
-  EXPECT_FALSE(g.PopReady(nullptr).has_value());
-  EXPECT_EQ(g.size(), 0u);
-}
-
 }  // namespace
 }  // namespace vitex::service

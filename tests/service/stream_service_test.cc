@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -713,6 +714,41 @@ TEST(StreamServiceTest, ConcurrentMultiStreamPublishWithChurn) {
             static_cast<uint64_t>(kStreams * kDocsPerStream));
   EXPECT_EQ(stats.active_subscriptions, 1u);
   EXPECT_TRUE(service.Stop().ok());
+}
+
+// Control ops racing Stop(): Stop closes the stream queues one after
+// another, so a marker can reach some streams and not others. The streams
+// that never see it leave the barrier when they drain, which must release
+// the streams waiting at the marker — every call returns, and nothing
+// deadlocks, whichever point of the churn loop Stop() lands on.
+TEST(StreamServiceTest, ControlOpsRacingStopNeverHang) {
+  constexpr size_t kStreams = 4;
+  constexpr int kChurners = 3;
+  constexpr int kRounds = 60;
+  for (int round = 0; round < kRounds; ++round) {
+    StreamServiceOptions options;
+    options.shard_count = 3;
+    options.stream_count = kStreams;
+    options.queue_capacity = 2;
+    StreamService service(options);
+    std::vector<std::thread> churners;
+    for (int c = 0; c < kChurners; ++c) {
+      churners.emplace_back([&service, c] {
+        for (size_t i = 0;; ++i) {
+          auto id = service.Subscribe("//a" + std::to_string(c) + "/text()");
+          if (!id.ok()) return;  // stopped
+          (void)service.PublishToStream((c + i) % kStreams,
+                                        "<a" + std::to_string(c) + ">x</a" +
+                                            std::to_string(c) + ">");
+          EXPECT_TRUE(service.Flush().ok());
+          EXPECT_TRUE(service.Unsubscribe(id.value()).ok());
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100 * (round % 12)));
+    EXPECT_TRUE(service.Stop().ok()) << "round " << round;
+    for (auto& t : churners) t.join();
+  }
 }
 
 TEST(StreamServiceTest, StopIsIdempotentAndDrainSurvivesIt) {

@@ -38,7 +38,7 @@ TEST(CandidateStoreTest, EmittedReclaimNotPruned) {
   MemoryTracker memory;
   CandidateStore store(&memory);
   CandidateId id = store.Create("x", 1);
-  EXPECT_TRUE(store.MarkEmitted(id));
+  EXPECT_EQ(store.MarkEmitted(id, 0b1), 0b1u);
   store.Unref(id);
   EXPECT_EQ(store.stats().pruned, 0u);
   EXPECT_EQ(store.stats().emitted, 1u);
@@ -48,8 +48,13 @@ TEST(CandidateStoreTest, MarkEmittedOnlyOnce) {
   MemoryTracker memory;
   CandidateStore store(&memory);
   CandidateId id = store.Create("x", 1);
-  EXPECT_TRUE(store.MarkEmitted(id));
-  EXPECT_FALSE(store.MarkEmitted(id));
+  EXPECT_EQ(store.MarkEmitted(id, 0b011), 0b011u);
+  EXPECT_EQ(store.MarkEmitted(id, 0b011), 0u);
+  // A later match qualifying more groups delivers only the new ones, and
+  // the candidate still counts as emitted once.
+  EXPECT_EQ(store.MarkEmitted(id, 0b110), 0b100u);
+  EXPECT_EQ(store.MarkEmitted(id, 0b111), 0u);
+  EXPECT_EQ(store.stats().emitted, 1u);
   store.Unref(id);
 }
 

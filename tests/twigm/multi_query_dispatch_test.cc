@@ -200,6 +200,29 @@ TEST(MultiQueryDispatchTest, DocumentVocabularyDoesNotGrowSharedTable) {
   EXPECT_EQ(results.size(), 1u);
 }
 
+TEST(MultiQueryDispatchTest, RebuildEmptiesPostingsOfRemovedVocabulary) {
+  // Posting lists outlive index rebuilds (they only grow), and a rebuild
+  // empties just the lists the previous build filled. Remove the only
+  // query naming <a>, let a new query take over its machine slot, and an
+  // <a> event must reach no machine: a stale posting would route it to the
+  // newcomer.
+  MultiQueryEngine engine;
+  VectorResultCollector a_results, b_results;
+  auto a = engine.AddQuery("//a", &a_results);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(engine.RunString("<r><a/></r>").ok());
+  EXPECT_EQ(a_results.size(), 1u);
+  EXPECT_EQ(engine.dispatch_stats().start_visits, 1u);
+  engine.ResetStream();
+  ASSERT_TRUE(engine.RemoveQuery(a.value()).ok());
+  ASSERT_TRUE(engine.AddQuery("//b", &b_results).ok());  // reuses the slot
+  ASSERT_EQ(engine.machine_count(), 1u);
+  ASSERT_TRUE(engine.RunString("<r><a/><a/></r>").ok());
+  EXPECT_EQ(engine.dispatch_stats().start_events, 3u);
+  EXPECT_EQ(engine.dispatch_stats().start_visits, 0u);
+  EXPECT_EQ(b_results.size(), 0u);
+}
+
 TEST(MultiQueryDispatchTest, ResetStreamAllowsLateRegistration) {
   MultiQueryEngine engine;
   VectorResultCollector first, second;

@@ -14,8 +14,8 @@
 //      per-group parameter masks, subscriber fan-out; DESIGN.md §7).
 //   4. service — service::StreamService end to end: per-stream parser
 //      threads (the document is published once on EACH of 1..max_streams
-//      streams, so concurrent parses and the stream barrier at each
-//      control marker are in play) into an EventLog, replay across
+//      streams, so concurrent parses and each control op's cut across
+//      the streams are in play) into an EventLog, replay across
 //      1..max_shards shard threads, delivery through per-subscriber sinks. Expected results are the DOM set
 //      replicated once per stream: a lost or duplicated stream copy is a
 //      divergence.

@@ -46,7 +46,7 @@ void Server::WakeState::MarkDirty(int fd) {
 // shard threads (match_sink.h contract: non-blocking, refusal = drop);
 // everything else runs on the epoll thread. The sink can outlive both its
 // connection and the Server (the service holds it until the unsubscribe
-// marker lands), so after Close() every entry point is a same-mutex no-op
+// op lands), so after Close() every entry point is a same-mutex no-op
 // that touches nothing outside the sink.
 // ---------------------------------------------------------------------------
 
@@ -792,7 +792,7 @@ void Server::CloseConnection(Connection* conn) {
   // Order matters: close the sink FIRST so shard threads stop appending,
   // then let the Subscription handles issue their (asynchronous)
   // unsubscribes — the service keeps the closed sink alive until each
-  // marker lands, and every late OnMatch is a cheap refused no-op.
+  // op lands, and every late OnMatch is a cheap refused no-op.
   conn->sink->Close();
   conn->subs.clear();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);

@@ -142,7 +142,7 @@ class Server {
 
   /// Cross-thread wakeup channel, shared (shared_ptr) by the server and
   /// every ConnectionSink. Sinks outlive their connection — the service
-  /// keeps them alive until the unsubscribe marker is applied — and may
+  /// keeps them alive until the unsubscribe op is applied — and may
   /// outlive the Server itself, so everything a sink touches besides its
   /// own state lives here, and `wake_fd < 0` means "server gone, do
   /// nothing".

@@ -124,7 +124,7 @@ class BoundedQueue {
       ++push_head_;
       items_.push_back(std::move(item));
       if (items_.size() > high_watermark_) high_watermark_ = items_.size();
-      pushed_.fetch_add(1, std::memory_order_release);
+      pushed_.fetch_add(1);
       // Wake only threads that are actually parked: a consumer in its spin
       // phase (or between items) will see this item on its next probe, and
       // signalling an empty waitqueue is a wasted syscall on the hot path.
@@ -195,11 +195,12 @@ class BoundedQueue {
 
   /// Successful pushes so far. Monotonic; incremented while the push holds
   /// the queue lock, so the count order IS the FIFO order — the k-th
-  /// successful push is the k-th item popped (telemetry, and the invariant
-  /// the multi-producer stress test pins).
-  uint64_t pushed_count() const {
-    return pushed_.load(std::memory_order_acquire);
-  }
+  /// successful push is the k-th item popped (the invariant the
+  /// multi-producer stress test pins, and the count a StreamService epoch
+  /// cut is taken in). Increment and read are seq_cst, so a thread that
+  /// announces itself before reading the count is seen by whoever pops an
+  /// item the read missed.
+  uint64_t pushed_count() const { return pushed_.load(); }
 
   size_t capacity() const { return capacity_; }
 
@@ -238,8 +239,8 @@ class BoundedQueue {
   uint64_t push_tail_ GUARDED_BY(mu_) = 0;
   uint64_t push_head_ GUARDED_BY(mu_) = 0;
   // Atomic (not merely guarded) so pushed_count() stays a lock-free read
-  // for monitoring threads; the store still happens under mu_, which is
-  // what makes the count order the FIFO order.
+  // for monitoring threads and epoch cuts; the store still happens under
+  // mu_, which is what makes the count order the FIFO order.
   std::atomic<uint64_t> pushed_{0};
   size_t high_watermark_ GUARDED_BY(mu_) = 0;
   uint64_t blocked_nanos_ GUARDED_BY(mu_) = 0;

@@ -95,11 +95,10 @@ struct StreamService::FlushGate {
   size_t remaining GUARDED_BY(mu) = 0;
 };
 
-// One control operation. EmitControl pushes it as a marker into every
-// stream queue; the streams meet at the marker, and the last to arrive
-// pushes the op into the owning shard's inbox (every inbox, for a Flush).
-// Only that shard touches the subscription payload, so the non-const
-// members need no locking.
+// One control operation. EmitControl registers it with its cut; the thread
+// that completes the cut pushes it into the owning shard's inbox (every
+// inbox, for a Flush). Only that shard touches the subscription payload, so
+// the non-const members need no locking.
 struct StreamService::ControlOp {
   enum class Kind { kSubscribe, kUnsubscribe, kFlush };
   Kind kind = Kind::kFlush;
@@ -107,6 +106,9 @@ struct StreamService::ControlOp {
   std::vector<xpath::Query> branches;    // kSubscribe: compiled, one each
   std::shared_ptr<SubscriberSink> sink;  // kSubscribe
   std::shared_ptr<FlushGate> gate;       // kFlush
+  // Per stream: the documents its queue had accepted when the op
+  // registered. Those go to the shards before the op; later ones after it.
+  std::vector<uint64_t> cut;
 };
 
 // Stage-tracing context shared by one document's N shard replays: the
@@ -117,12 +119,10 @@ struct StreamService::DocTrace {
   std::atomic<size_t> shards_remaining{0};
 };
 
-// What flows through a stream's ingest queue: a document to parse, or a
-// control marker at which every stream meets (DESIGN.md §9).
+// What flows through a stream's ingest queue: one published document.
 struct StreamService::StreamItem {
   std::string document;
-  int64_t publish_ns = 0;         // stamped by Publish when tracing
-  std::shared_ptr<ControlOp> op;  // non-null == marker
+  int64_t publish_ns = 0;  // stamped by Publish when tracing
 };
 
 // What flows through a shard inbox: a parsed document, or a control op at
@@ -134,9 +134,9 @@ struct StreamService::ShardItem {
   std::shared_ptr<DocTrace> trace;           // documents, tracing only
 };
 
-// One publisher stream: a bounded queue of raw documents (and control
-// markers) drained by this stream's parser thread. Counters are written by
-// that thread, read by stats().
+// One publisher stream: a bounded queue of raw documents drained by this
+// stream's parser thread. Counters are written by that thread, read by
+// stats().
 struct StreamService::Stream {
   explicit Stream(size_t queue_capacity) : queue(queue_capacity) {}
 
@@ -147,6 +147,9 @@ struct StreamService::Stream {
   std::atomic<uint64_t> documents_parsed{0};
   std::atomic<uint64_t> documents_rejected{0};
   std::atomic<uint64_t> events_parsed{0};
+  // Documents fanned out or rejected so far: how far this stream is
+  // toward each pending op's cut.
+  std::atomic<uint64_t> finished{0};
 
   // This stream's private stage histograms (merged under shared names at
   // render time); null when tracing is off.
@@ -240,16 +243,11 @@ StreamService::StreamService(StreamServiceOptions options)
     WriterMutexLock symbols_lock(symbols_.mu());
     symbols_.Freeze();
   }
-  {
-    MutexLock lock(barrier_mu_);
-    live_streams_ = streams_.size();
-  }
   for (auto& shard : shards_) {
     shard->thread = std::thread(&StreamService::ShardLoop, this, shard.get());
   }
-  for (auto& stream : streams_) {
-    stream->thread =
-        std::thread(&StreamService::StreamLoop, this, stream.get());
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    streams_[i]->thread = std::thread(&StreamService::StreamLoop, this, i);
   }
 }
 
@@ -261,14 +259,20 @@ Status StreamService::Stop() {
   // destructor) can proceed while threads are still running.
   MutexLock stop_lock(stop_mu_);
   {
+    // Under cut_mu_ too, so no EmitControl sits between its stopped_
+    // check and pushing the op it registers: an op either registers before
+    // this, and reaches its inboxes before they close, or not at all.
+    MutexLock cut_lock(cut_mu_);
     MutexLock lock(mu_);
     if (stopped_) return first_error_;
     stopped_ = true;
   }
   // Closing the stream queues lets each parser thread drain what is
-  // already queued and leave the marker barrier. Once every stream has
-  // pushed its last item, closing the shard inboxes lets each shard drain
-  // the rest — so work accepted before Stop() is still fully processed.
+  // already queued; every op registered before stopped_ was set is cut
+  // within those documents, so it reaches its inbox on the way. Once every
+  // stream has pushed its last item, closing the shard inboxes lets each
+  // shard drain the rest — so work accepted before Stop() is still fully
+  // processed.
   for (auto& stream : streams_) stream->queue.Close();
   for (auto& stream : streams_) stream->thread.join();
   for (auto& shard : shards_) shard->inbox.Close();
@@ -313,21 +317,31 @@ void ForEachMachineName(const std::vector<xpath::Query>& branches, Fn fn) {
 }  // namespace
 
 bool StreamService::EmitControl(std::shared_ptr<ControlOp> op) {
-  // Push the marker into every stream queue while holding control_mu_ (the
-  // caller does): concurrent control ops therefore appear in the SAME
-  // relative order in every queue, and a closed queue accepts nothing
-  // more, so each stream's markers are a prefix of one total order — what
-  // lets the streams meet at them (DESIGN.md §9).
-  bool ok = true;
-  for (auto& stream : streams_) {
-    StreamItem item;
-    item.op = op;
-    // A closed queue means the service is stopping; keep emitting to the
-    // remaining streams. A stream that never sees the marker leaves the
-    // barrier when it drains, which completes the cut for the others.
-    ok = stream->queue.Push(std::move(item)) && ok;
+  MutexLock lock(cut_mu_);
+  // Bounded like every queue: a control call waits while queue_capacity
+  // ops are still short of their cuts. Each completes once the streams
+  // finish the documents already queued, stopping or not.
+  while (pending_.size() >= std::max<size_t>(1, options_.queue_capacity)) {
+    cut_cv_.Wait(cut_mu_);
   }
-  return ok;
+  {
+    // Stop() sets stopped_ under cut_mu_ and only then closes the
+    // queues, so an op registered here is cut within documents the streams
+    // still drain, and one this call completes below is pushed before any
+    // inbox closes.
+    MutexLock stop_lock(mu_);
+    if (stopped_) return false;
+  }
+  // Announce the op before taking its cut, so a stream that pops a
+  // document past the cut finds it pending (StreamLoop's fast path). A
+  // queue's accepted count only grows and registrations are serialized
+  // here, so each cut is at or past the previous op's on every stream.
+  pending_.push_back(std::move(op));
+  cuts_pending_.store(pending_.size());
+  std::vector<uint64_t>& cut = pending_.back()->cut;
+  for (auto& stream : streams_) cut.push_back(stream->queue.pushed_count());
+  CompleteCuts();  // every stream may already be past the cut
+  return true;
 }
 
 Result<SubscriptionId> StreamService::Subscribe(std::string_view xpath) {
@@ -476,7 +490,7 @@ Status StreamService::Flush() {
   }
   if (!emitted) {
     // Stopping: Stop() drains everything, which is a stronger barrier, and
-    // a partially emitted marker may never complete every shard's gate.
+    // an unregistered op never reaches any shard's gate.
     MutexLock lock(mu_);
     return first_error_;
   }
@@ -708,57 +722,45 @@ std::string StreamService::StatszText() const {
 // ---------------------------------------------------------------------------
 // Stream threads: parse once (concurrently with the other streams, under a
 // shared lock on the frozen SymbolTable), fan the event log out to every
-// shard; meet the other streams at each control marker.
+// shard — after any control op cut before the document.
 // ---------------------------------------------------------------------------
 
-void StreamService::MeetAtMarker(std::shared_ptr<ControlOp> op) {
-  MutexLock lock(barrier_mu_);
-  // Each stream's markers are a prefix of one total order, and no stream
-  // passes a marker before its cut completes, so every arrival in one
-  // phase carries the same op.
-  barrier_op_ = std::move(op);
-  if (++arrived_ == live_streams_) {
-    CompleteBarrier();
-    return;
+bool StreamService::CutReached(const ControlOp& op) const {
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    if (streams_[i]->finished.load() < op.cut[i]) return false;
   }
-  const uint64_t phase = barrier_phase_;
-  while (barrier_phase_ == phase) barrier_cv_.Wait(barrier_mu_);
+  return true;
 }
 
-void StreamService::LeaveBarrier() {
-  MutexLock lock(barrier_mu_);
-  --live_streams_;
-  // This stream's queue closed before the marker the others are waiting
-  // at (the emit raced Stop()); no more arrivals are coming, so cut here.
-  if (arrived_ > 0 && arrived_ == live_streams_) CompleteBarrier();
-}
-
-void StreamService::CompleteBarrier() {
-  // Every live stream has pushed everything it popped before the marker,
-  // and none pushes anything after it until the phase advances below, so
-  // the op enters each inbox at one epoch boundary. Pushing while holding
-  // barrier_mu_ is safe: only stream threads take it, and shards drain
+void StreamService::CompleteCuts() {
+  if (pending_.empty() || !CutReached(*pending_.front())) return;
+  // Every stream has pushed the documents before the front op's cut and
+  // holds back the ones after it, so the op enters each inbox at one epoch
+  // boundary. Pushing while holding cut_mu_ is safe: shards drain
   // their inboxes without waiting on anyone.
-  ShardItem item;
-  item.op = std::move(barrier_op_);
-  if (item.op->kind == ControlOp::Kind::kFlush) {
-    for (auto& shard : shards_) shard->inbox.Push(item);
-  } else {
-    shards_[ShardOf(item.op->subscription)]->inbox.Push(std::move(item));
-  }
-  arrived_ = 0;
-  ++barrier_phase_;
-  barrier_cv_.NotifyAll();
+  do {
+    ShardItem item;
+    item.op = std::move(pending_.front());
+    pending_.pop_front();
+    if (item.op->kind == ControlOp::Kind::kFlush) {
+      for (auto& shard : shards_) shard->inbox.Push(item);
+    } else {
+      shards_[ShardOf(item.op->subscription)]->inbox.Push(std::move(item));
+    }
+  } while (!pending_.empty() && CutReached(*pending_.front()));
+  cuts_pending_.store(pending_.size());
+  cut_cv_.NotifyAll();
 }
 
-void StreamService::StreamLoop(Stream* stream) {
+void StreamService::StreamLoop(size_t index) {
+  Stream* stream = streams_[index].get();
   xml::SaxParserOptions parse_options = options_.sax_options;
   parse_options.symbols = &symbols_;
-  while (std::optional<StreamItem> item = stream->queue.Pop()) {
-    if (item->op != nullptr) {
-      MeetAtMarker(std::move(item->op));
-      continue;
-    }
+  // The queue is FIFO, so the k-th document popped is the k-th accepted —
+  // the count a cut is taken in.
+  for (uint64_t position = 0;; ++position) {
+    std::optional<StreamItem> item = stream->queue.Pop();
+    if (!item.has_value()) break;
     // Stage tracing: ingest-queue wait ends and the parse begins now.
     int64_t parse_start_ns = 0;
     if (stream->ingest_wait_hist != nullptr) {
@@ -783,38 +785,56 @@ void StreamService::StreamLoop(Stream* stream) {
       stream->parse_hist->Record(
           static_cast<uint64_t>(parse_done_ns - parse_start_ns));
     }
-    if (!parsed.ok()) {
+    // An op cut at or before this document goes into the inboxes first.
+    // This stream has finished everything before that cut, so only streams
+    // still short of theirs — which are not waiting here — hold the op
+    // back. With no op pending the stream skips cut_mu_: an op announces
+    // itself before it reads the accepted count this document raised, and
+    // all three are seq_cst, so an op cut before this document is seen.
+    if (cuts_pending_.load() != 0) {
+      MutexLock lock(cut_mu_);
+      while (!pending_.empty() && pending_.front()->cut[index] <= position) {
+        cut_cv_.Wait(cut_mu_);
+      }
+    }
+    if (parsed.ok()) {
+      stream->documents_parsed.fetch_add(1, std::memory_order_relaxed);
+      stream->events_parsed.fetch_add(log->size(), std::memory_order_relaxed);
+      events_parsed_.fetch_add(log->size(), std::memory_order_relaxed);
+      std::shared_ptr<DocTrace> trace;
+      if (stream->parse_hist != nullptr) {
+        trace = std::make_shared<DocTrace>();
+        trace->publish_ns = item->publish_ns;
+        trace->shards_remaining.store(shards_.size(),
+                                      std::memory_order_relaxed);
+      }
+      for (auto& shard : shards_) {
+        ShardItem doc;
+        doc.log = log;  // shared: one parse, N replays
+        doc.enqueue_ns = parse_done_ns;
+        doc.trace = trace;
+        shard->inbox.Push(std::move(doc));  // backpressure
+      }
+    } else {
       // A malformed publication is dropped, not fatal: pub/sub streams
       // outlive one bad document.
       stream->documents_rejected.fetch_add(1, std::memory_order_relaxed);
       documents_rejected_.fetch_add(1, std::memory_order_relaxed);
-      continue;
     }
-    stream->documents_parsed.fetch_add(1, std::memory_order_relaxed);
-    stream->events_parsed.fetch_add(log->size(), std::memory_order_relaxed);
-    events_parsed_.fetch_add(log->size(), std::memory_order_relaxed);
-    std::shared_ptr<DocTrace> trace;
-    if (stream->parse_hist != nullptr) {
-      trace = std::make_shared<DocTrace>();
-      trace->publish_ns = item->publish_ns;
-      trace->shards_remaining.store(shards_.size(),
-                                    std::memory_order_relaxed);
-    }
-    for (auto& shard : shards_) {
-      ShardItem doc;
-      doc.log = log;  // shared: one parse, N replays
-      doc.enqueue_ns = parse_done_ns;
-      doc.trace = trace;
-      shard->inbox.Push(std::move(doc));  // backpressure
+    // Publish progress, then look for a pending op (both seq_cst): either
+    // this stream sees the op and completes what it can, or EmitControl's
+    // CompleteCuts sees this progress.
+    stream->finished.store(position + 1);
+    if (cuts_pending_.load() != 0) {
+      MutexLock lock(cut_mu_);
+      CompleteCuts();
     }
   }
-  // Stream queue closed and drained: stop counting toward the barrier.
-  LeaveBarrier();
 }
 
 // ---------------------------------------------------------------------------
 // Shard threads: pop the inbox in order, replaying documents into the
-// private engine and applying each control op where the streams cut it.
+// private engine and applying each control op where its cut put it.
 // ---------------------------------------------------------------------------
 
 void StreamService::ApplyControl(Shard* shard, ControlOp* op) {

@@ -6,10 +6,10 @@
 // Architecture (threads left to right):
 //
 //   Publish ──▶ [stream queue 0..M-1] ──▶ M parser threads ──▶ ┐
-//   Subscribe/Unsubscribe/Flush ──markers into every stream──▶ ┘
+//   Subscribe/Unsubscribe/Flush ──cut: a count per stream────▶ ┘
 //                                                              │
-//                              [per-shard FIFO inbox; the streams meet at
-//                               each marker and the last one pushes the op]
+//                              [per-shard FIFO inbox; whichever thread
+//                               completes an op's cut pushes the op]
 //                                                              │
 //                                  shard 0..N-1 threads, each a private
 //                                  MultiQueryEngine
@@ -26,12 +26,15 @@
 //     attribute the table lacks briefly quiesces the parsers to mint it:
 //     unfreeze, intern, refreeze.
 //   * Epoch discipline: every control op (Subscribe/Unsubscribe/Flush) is
-//     a MARKER pushed into every stream's queue, in one consistent order
-//     across streams. A stream thread that pops a marker waits until every
-//     live stream has reached it; the last to arrive pushes the op into
-//     the owning shard's inbox (a Flush into every inbox), behind every
-//     document published before the op and ahead of every one published
-//     after it. Subscribe/Unsubscribe therefore apply at exact
+//     registered with a CUT — for each stream, how many documents its
+//     queue had accepted — in one total order across ops. A stream does
+//     not fan a document at or past a pending op's cut out to the shards
+//     until that op is in its inbox, and whichever thread completes the
+//     cut (the stream that finishes the last document before it, or the
+//     control call itself when every stream already has) pushes the op
+//     into the owning shard's inbox (a Flush into every inbox), behind
+//     every document published before the op and ahead of every one
+//     published after it. Subscribe/Unsubscribe therefore apply at exact
 //     document-epoch boundaries — a subscription sees every document
 //     published after the Subscribe call returned, and none published
 //     before it was called — and per-subscriber match order stays
@@ -51,6 +54,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -79,8 +83,9 @@ struct StreamServiceOptions {
   /// ordering matters to the caller.
   size_t stream_count = 1;
   /// Capacity of each stream's ingest queue; each shard inbox holds
-  /// queue_capacity × stream_count items. Smaller values bound memory
-  /// harder and backpressure sooner.
+  /// queue_capacity × stream_count items, and at most queue_capacity
+  /// control ops wait for their cut. Smaller values bound memory harder
+  /// and backpressure sooner.
   size_t queue_capacity = 64;
   /// Parser options for the per-stream ingest parses. The `symbols` field
   /// is overridden with the service's shared table.
@@ -248,27 +253,25 @@ class StreamService {
   struct Shard;
   struct DocTrace;
 
-  void StreamLoop(Stream* stream);
+  void StreamLoop(size_t index);
   void ShardLoop(Shard* shard);
   size_t ShardOf(SubscriptionId id) const;
   void RecordError(const Status& status) EXCLUDES(mu_);
-  /// Applies one control op on the shard's thread, in inbox order — the
-  /// stream barrier put it at its epoch boundary.
+  /// Applies one control op on the shard's thread, in inbox order — its
+  /// cut put it at its epoch boundary.
   void ApplyControl(Shard* shard, ControlOp* op);
-  /// Pushes `op` as a marker into EVERY stream queue, under control_mu_ so
-  /// concurrent ops enter all queues in one consistent total order (the
-  /// correctness precondition of the stream barrier; DESIGN.md §9).
-  /// Returns false if the service is stopping (some queue closed).
-  bool EmitControl(std::shared_ptr<ControlOp> op) REQUIRES(control_mu_);
-  /// A stream thread that popped a marker: waits until every live stream
-  /// has reached it; the last to arrive completes the cut.
-  void MeetAtMarker(std::shared_ptr<ControlOp> op) EXCLUDES(barrier_mu_);
-  /// A stream thread whose queue closed and drained stops counting toward
-  /// the barrier, completing any cut the others are waiting at.
-  void LeaveBarrier() EXCLUDES(barrier_mu_);
-  /// Pushes barrier_op_ into its owning shard's inbox (a Flush into every
-  /// inbox) and releases the streams waiting at it.
-  void CompleteBarrier() REQUIRES(barrier_mu_);
+  /// Registers `op` at a cut taken now: for each stream, the documents its
+  /// queue has accepted so far. Ops register in one total order, so cuts
+  /// only move forward (DESIGN.md §9). Waits while queue_capacity ops are
+  /// still short of their cuts. Returns false if the service is stopping.
+  bool EmitControl(std::shared_ptr<ControlOp> op) REQUIRES(control_mu_)
+      EXCLUDES(cut_mu_);
+  /// True once every stream has finished the documents before `op`'s cut.
+  bool CutReached(const ControlOp& op) const REQUIRES(cut_mu_);
+  /// Pushes each pending op whose cut is reached, in order, into its
+  /// owning shard's inbox (a Flush into every inbox), and releases the
+  /// streams holding documents back behind it.
+  void CompleteCuts() REQUIRES(cut_mu_);
 
   StreamServiceOptions options_;
   // Shared by every stream's parser and every shard engine. FROZEN
@@ -286,19 +289,18 @@ class StreamService {
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Held while EmitControl pushes a marker into every stream queue, so the
-  // markers of concurrent control ops enter every queue in one total order.
+  // Held across a control call's bookkeeping and registration, so an id's
+  // Subscribe registers before any Unsubscribe of it.
   Mutex control_mu_;
 
-  // The epoch cut (DESIGN.md §9): stream threads meet at each marker, and
-  // the last to arrive pushes the op into the shard inboxes. Only stream
-  // threads take barrier_mu_.
-  Mutex barrier_mu_;
-  CondVar barrier_cv_;
-  size_t live_streams_ GUARDED_BY(barrier_mu_) = 0;  // not yet drained
-  size_t arrived_ GUARDED_BY(barrier_mu_) = 0;       // at the current marker
-  std::shared_ptr<ControlOp> barrier_op_ GUARDED_BY(barrier_mu_);
-  uint64_t barrier_phase_ GUARDED_BY(barrier_mu_) = 0;  // completed cuts
+  // The epoch cut (DESIGN.md §9): control ops waiting for their cut, in
+  // registration order; each stream's progress is Stream::finished.
+  // cuts_pending_ mirrors pending_.size() so that a stream takes cut_mu_
+  // only while some op is pending. Shard threads never take cut_mu_.
+  Mutex cut_mu_;
+  CondVar cut_cv_;
+  std::deque<std::shared_ptr<ControlOp>> pending_ GUARDED_BY(cut_mu_);
+  std::atomic<size_t> cuts_pending_{0};
 
   // Held for the whole of Stop() so concurrent stops (destructor racing an
   // explicit Stop) wait for the joins instead of returning early.

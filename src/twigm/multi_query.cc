@@ -353,31 +353,21 @@ size_t MultiQueryEngine::total_live_bytes() const {
 
 void MultiQueryEngine::Dispatcher::BuildIndex() {
   size_t n = owner_->instances_.size();
-  // Size postings to the query vocabulary, not the table: the largest
-  // symbol any live machine interned. Dispatch already treats out-of-range
-  // symbols as "no interested query", which is exactly what a document-only
-  // symbol is — and this keeps index rebuilds off the SymbolTable, so a
-  // shared table may grow concurrently on another thread (DESIGN.md §5).
+  // Postings cover the query vocabulary, not the table: the fill loop below
+  // grows them to the largest symbol a machine names. Dispatch treats
+  // out-of-range symbols as "no interested query", which is exactly what a
+  // document-only symbol is — and this keeps index rebuilds off the
+  // SymbolTable, so a shared table may grow concurrently on another thread
+  // (DESIGN.md §5).
   // The postings only ever grow, and a rebuild empties just the lists the
   // previous build filled: a table never forgets a name, so after churn
   // over unique tags a wholesale reset would walk its whole history.
-  size_t posting_size = 0;
-  for (const auto& instance : owner_->instances_) {
-    if (instance == nullptr) continue;
-    for (const auto& entry : instance->machine.element_index()) {
-      posting_size =
-          std::max(posting_size, static_cast<size_t>(entry.first) + 1);
-    }
-  }
+  // Cleared lists keep their capacity for the next build.
   for (Symbol symbol : indexed_symbols_) {
     postings_[symbol].clear();
     dependent_postings_[symbol].clear();
   }
   indexed_symbols_.clear();
-  if (posting_size > postings_.size()) {
-    postings_.resize(posting_size);
-    dependent_postings_.resize(posting_size);
-  }
   info_.assign(n, MachineInfo());
   element_broadcast_.clear();
   attribute_machines_.clear();
@@ -409,9 +399,10 @@ void MultiQueryEngine::Dispatcher::BuildIndex() {
     mi.bare_attributes = m.has_bare_attributes();
     mi.output_is_element = m.output_is_element();
     for (const auto& entry : m.element_index()) {
-      // Query names were interned at build time, before any document tag,
-      // so they are always inside the table the postings were sized to.
-      assert(entry.first < postings_.size());
+      if (entry.first >= postings_.size()) {
+        postings_.resize(entry.first + 1);
+        dependent_postings_.resize(entry.first + 1);
+      }
       // A symbol goes to the entry postings if any node naming it is a
       // query root (pushable with empty stacks); symbols named only by
       // non-root nodes are no-ops until the machine has live entries, so

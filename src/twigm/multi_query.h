@@ -416,7 +416,9 @@ class MultiQueryEngine {
     // lets shards rebuild their index while another thread interns new
     // query vocabulary into a shared table (DESIGN.md §5). Never shrunk: a
     // rebuild clears only the lists named in indexed_symbols_, so its cost
-    // follows the live vocabulary, not the table's history.
+    // follows the live vocabulary, not the table's history. A name no
+    // live query uses still costs two vectors (48 bytes), plus any capacity
+    // its lists kept from a build that filled them.
     //
     // Split by reachability: postings_ holds *entry* symbols — tags that
     // match a query-root node, which can push with every stack empty — and

@@ -162,8 +162,8 @@ TEST(ServicePushSinkTest, RefusedDeliveriesCountAsOverflowed) {
 }
 
 TEST(ServicePushSinkTest, SinkOutlivesTheAsyncUnsubscribeWindow) {
-  // Unsubscribe returns immediately (marker semantics); the service must
-  // keep the sink alive until the marker applies on every shard, so an
+  // Unsubscribe returns immediately (epoch-cut semantics); the service
+  // must keep the sink alive until the op applies on its shard, so an
   // OnMatch racing the unsubscribe never touches a dead object. ASan
   // turns a violation into a hard failure; the weak_ptr observes the
   // release once the service lets go.
@@ -184,7 +184,7 @@ TEST(ServicePushSinkTest, SinkOutlivesTheAsyncUnsubscribeWindow) {
   sink.reset();  // our reference is gone; the service's must suffice
   ASSERT_TRUE(service.Flush().ok());
 
-  // Once flushed, the markers applied and the service released the sink.
+  // Once flushed, the ops applied and the service released the sink.
   ASSERT_TRUE(service.Stop().ok());
   EXPECT_TRUE(watch.expired());
 }

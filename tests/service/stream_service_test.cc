@@ -570,7 +570,7 @@ TEST(StreamServiceTest, PerStreamOrderIsPreserved) {
 // The epoch-boundary guarantee with real multi-stream traffic: every
 // document whose Publish RETURNED before Subscribe was called is invisible
 // to the subscription; every document published after Subscribe RETURNED is
-// seen. (The markers must cut all four stream queues consistently.)
+// seen. (The cut must hold on all four stream queues consistently.)
 TEST(StreamServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
   StreamServiceOptions options;
   options.shard_count = 2;
@@ -601,7 +601,8 @@ TEST(StreamServiceTest, SubscribeCutsAllStreamsAtOneEpoch) {
 }
 
 // A malformed document on one stream must not desynchronize the epoch
-// merge: markers are positions in the queue, not document counts.
+// merge: a cut counts accepted documents, and a rejected one still counts
+// as finished.
 TEST(StreamServiceTest, RejectedDocumentDoesNotWedgeTheEpochMerge) {
   StreamServiceOptions options;
   options.shard_count = 2;
@@ -716,11 +717,10 @@ TEST(StreamServiceTest, ConcurrentMultiStreamPublishWithChurn) {
   EXPECT_TRUE(service.Stop().ok());
 }
 
-// Control ops racing Stop(): Stop closes the stream queues one after
-// another, so a marker can reach some streams and not others. The streams
-// that never see it leave the barrier when they drain, which must release
-// the streams waiting at the marker — every call returns, and nothing
-// deadlocks, whichever point of the churn loop Stop() lands on.
+// Control ops racing Stop(): an op must either register before Stop()
+// and reach its inboxes before they close, or fail — a Flush whose op was
+// pushed into a closed inbox would wait forever. Every call returns, and
+// nothing deadlocks, whichever point of the churn loop Stop() lands on.
 TEST(StreamServiceTest, ControlOpsRacingStopNeverHang) {
   constexpr size_t kStreams = 4;
   constexpr int kChurners = 3;

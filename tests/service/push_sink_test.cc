@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "service/vitex.h"
@@ -263,6 +266,71 @@ TEST(ServicePushSinkTest, UnsubscribeAppliesAtItsEpochNotAtReturn) {
   sink->Open();
   ASSERT_TRUE(service.Flush().ok());
   EXPECT_EQ(sink->fragments(), expected);
+}
+
+TEST(ServicePushSinkTest, SubscribeDoesNotWaitForFullStreamQueues) {
+  // A control call never needs room in a document queue (DESIGN.md §9).
+  // The only shard is parked inside a delivery and two pinned publishers
+  // have filled its inbox and both stream queues behind it; Subscribe
+  // must still return, and its subscription applies once the shard
+  // resumes.
+  ServiceOptions options;
+  options.shard_count = 1;
+  options.stream_count = 2;
+  options.queue_capacity = 1;
+  Service service(options);
+  auto sink = std::make_shared<LatchedSink>();
+  SinkOptions push;
+  push.mode = DeliveryMode::kPush;
+  push.sink = sink;
+  std::vector<std::thread> publishers;
+  // Opens the latch and joins the publishers on every exit path.
+  struct Release {
+    LatchedSink* sink;
+    std::vector<std::thread>* threads;
+    ~Release() {
+      sink->Open();
+      for (auto& t : *threads) t.join();
+    }
+  } release{sink.get(), &publishers};
+  auto parked = service.Subscribe("//a/text()", std::move(push));
+  ASSERT_TRUE(parked.ok());
+  ASSERT_TRUE(service.Publish("<a>x</a>").ok());
+  sink->WaitEntered();
+  // Each publisher blocks once its stream's queue is full.
+  for (size_t stream = 0; stream < 2; ++stream) {
+    publishers.emplace_back([&service, stream] {
+      for (int d = 0; d < 4; ++d) (void)service.PublishToStream(stream, "<c/>");
+    });
+  }
+  // Stable once it holds: the parked shard's inbox (capacity 2) is full,
+  // each stream thread holds one document it cannot push, and each stream
+  // queue (capacity 1) is full behind it.
+  auto queues_full = [&service] {
+    ServiceStats stats = service.stats();
+    return stats.shards[0].queue_depth == 2 &&
+           stats.streams[0].queue_depth == 1 &&
+           stats.streams[1].queue_depth == 1;
+  };
+  for (int i = 0; i < 5000 && !queues_full(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(queues_full());
+
+  auto subscribed = std::async(std::launch::async, [&service] {
+    return service.Subscribe("//b/text()");
+  });
+  EXPECT_EQ(subscribed.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  sink->Open();
+  auto late = subscribed.get();
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(service.Publish("<b>y</b>").ok());
+  ASSERT_TRUE(service.Flush().ok());
+  auto got = late->Drain();
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), 1u);
+  EXPECT_EQ(got->front().fragment, "y");
 }
 
 TEST(ServicePushSinkTest, PushAndPullSubscriptionsCoexist) {

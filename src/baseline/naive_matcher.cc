@@ -287,10 +287,6 @@ Status NaiveStreamMatcher::FlushText() {
   pending_text_.clear();
   pending_text_depth_ = -1;
   RecordingsOnText(text);
-  return ProcessTextNode(text, depth);
-}
-
-Status NaiveStreamMatcher::ProcessTextNode(std::string_view text, int depth) {
   uint64_t seq = sequence_counter_++;
   for (NaiveNode& node : nodes_) {
     const QueryNode* q = node.query;

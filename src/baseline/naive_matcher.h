@@ -96,7 +96,6 @@ class NaiveStreamMatcher : public xml::ContentHandler {
   };
 
   Status FlushText();
-  Status ProcessTextNode(std::string_view text, int depth);
   Status ProcessAttributes(const xml::StartElementEvent& event,
                            uint64_t element_seq);
   Status CheckCap() const;

@@ -137,12 +137,13 @@ Status TwigMachine::StartDocument() {
 }
 
 uint64_t TwigMachine::ParamMatchMask(const xpath::QueryNode* q,
-                                     std::string_view value) const {
-  int slot = param_slot_of_node_[q->id];
+                                     const xpath::NodeValue& value) {
+  const size_t slot = static_cast<size_t>(param_slot_of_node_[q->id]);
+  const size_t groups = bindings_->group_count;
+  stats_.param_evaluations += groups;
   uint64_t mask = 0;
-  for (size_t g = 0; g < bindings_->group_count; ++g) {
-    if (bindings_->param(g, static_cast<size_t>(slot))
-            .Matches(q->value_op, value)) {
+  for (size_t g = 0; g < groups; ++g) {
+    if (bindings_->param(g, slot).Matches(q->value_op, value)) {
       mask |= 1ull << g;
     }
   }
@@ -223,6 +224,13 @@ bool TwigMachine::AxisSatisfiable(const MachineNode& node, int level) {
   TouchStack(parent);
   if (parent.stack_size == 0) return false;
   const StackEntry* st = parent.stack.data();
+  if (q->axis == Axis::kAttribute) {
+    // `level` is the owner element's. `@a` needs the owner's own entry,
+    // pushed this event and so on top; `//@a` the owner's or an open
+    // ancestor's, so the bottom entry is at or above the owner.
+    return q->descendant_attribute ? st[0].level <= level
+                                   : st[parent.stack_size - 1].level == level;
+  }
   if (q->axis == Axis::kDescendant) {
     // A strict ancestor: some open entry at a smaller level. Entries are
     // sorted by level, so the bottom one is the smallest.
@@ -437,79 +445,55 @@ Status TwigMachine::StartElement(const xml::StartElementEvent& event,
 
   RecordingsOnStart(event, output_pushed);
 
-  if (!event.attributes.empty() && !attribute_nodes_.empty()) {
-    VITEX_RETURN_IF_ERROR(ProcessAttributes(event, seq));
-  }
-  return CheckMemoryLimit();
-}
-
-Status TwigMachine::ProcessAttributes(const xml::StartElementEvent& event,
-                                      uint64_t element_seq) {
-  int level = event.depth;
   for (size_t ni = 0; ni < attribute_nodes_.size(); ++ni) {
-    int id = attribute_nodes_[ni];
+    MachineNode& node = nodes_[attribute_nodes_[ni]];
     Symbol name_sym = attribute_node_symbols_[ni];
-    MachineNode& node = nodes_[id];
-    const QueryNode* q = node.query;
     for (size_t ai = 0; ai < event.attributes.size(); ++ai) {
       const xml::Attribute& attr = event.attributes[ai];
       // Symbol equality when both sides are resolved against our table;
       // string comparison otherwise (wildcard tests accept any name).
-      if (name_sym != kNoSymbol) {
-        if (attr.symbol != kNoSymbol ? attr.symbol != name_sym
-                                     : q->name != attr.name) {
-          continue;
-        }
-      }
-      // Value test: the groups whose bound literal matches. A node without
-      // one matches for every group.
-      uint64_t match_mask = full_mask_;
-      if (param_slot_of_node_[id] >= 0) {
-        match_mask = ParamMatchMask(q, attr.value);
-        if (match_mask == 0) continue;
-      }
-      // The attribute "matches and pops" instantly: bookkeep into the
-      // owning/ancestor entries of the parent machine node right away.
-      uint64_t attr_seq = element_seq + 1 + ai;
-      CandidateId cand = 0;
-      bool is_output = q->is_output;
-      if (node.parent_id < 0) {
-        // A bare attribute query. `//@id` (descendant-or-self of the
-        // document root) matches every id attribute and emits immediately;
-        // `/@id` asks for attributes of the document node, which cannot
-        // exist.
-        if (is_output && q->descendant_attribute) {
-          DeliverResult(attr.value, attr_seq, match_mask);
-        }
+      if (name_sym != kNoSymbol &&
+          (attr.symbol != kNoSymbol ? attr.symbol != name_sym
+                                    : node.query->name != attr.name)) {
         continue;
       }
-      int parent_slot =
-          parametric_[id]
-              ? nodes_[node.parent_id].pchild_slot[q->index_in_parent]
-              : -1;
-      if (is_output) {
-        cand = candidates_.Create(attr.value, attr_seq);
-      }
-      ForEachPropagationTarget(node, level, [&](StackEntry& target) {
-        if (parent_slot >= 0) {
-          target.pmasks[parent_slot] |= match_mask;
-        } else {
-          target.child_bits |= 1ull << q->index_in_parent;
-        }
-        ++stats_.bit_propagations;
-        if (is_output) {
-          target.candidates.push_back(CandidateRef{cand, match_mask});
-          candidates_.Ref(cand);
-          ++stats_.candidate_transfers;
-          memory_.Add(sizeof(CandidateRef));
-        }
-      });
-      if (is_output) {
-        candidates_.Unref(cand);  // drop the creation reference
-      }
+      MatchLeaf(node, level, xpath::NodeValue(attr.value), seq + 1 + ai);
     }
   }
-  return Status::OK();
+  return CheckMemoryLimit();
+}
+
+void TwigMachine::MatchLeaf(MachineNode& node, int level,
+                            const xpath::NodeValue& value, uint64_t seq) {
+  const QueryNode* q = node.query;
+  // First make sure the match can land somewhere; only then compare.
+  if (node.parent_id < 0) {
+    // A bare leaf. `//text()` and `//@id` (descendants of the document
+    // root) match every text node or id attribute and emit at once;
+    // `/text()` and `/@id` ask for children of the document node, which
+    // well-formed XML does not have.
+    if (!q->is_output ||
+        (q->axis != Axis::kDescendant && !q->descendant_attribute)) {
+      return;
+    }
+  } else if (!AxisSatisfiable(node, level)) {
+    return;
+  }
+  // Value test: the groups whose bound literal matches. A leaf without one
+  // matches for every group.
+  uint64_t mask = full_mask_;
+  if (param_slot_of_node_[q->id] >= 0) {
+    mask = ParamMatchMask(q, value);
+    if (mask == 0) return;
+  }
+  if (node.parent_id < 0) {
+    DeliverResult(value.text(), seq, mask);
+    return;
+  }
+  CandidateRef cand;
+  if (q->is_output) cand.id = candidates_.Create(value.text(), seq);
+  Propagate(node, level, mask, &cand, q->is_output ? 1 : 0);
+  if (q->is_output) candidates_.Unref(cand.id);  // the creation reference
 }
 
 Status TwigMachine::TextNode(std::string_view text, int depth,
@@ -520,74 +504,18 @@ Status TwigMachine::TextNode(std::string_view text, int depth,
   memory_.Add(text.size());
   Status status = CheckMemoryLimit();
   if (status.ok()) {
+    ++stats_.text_events;
     RecordingsOnText(text);
-    status = ProcessTextNode(text, depth, sequence);
+    // A text node inside the element at `depth` sits one level below it,
+    // exactly where an element child would.
+    xpath::NodeValue value(text);
+    for (int id : text_nodes_) {
+      MatchLeaf(nodes_[id], depth + 1, value, sequence);
+    }
+    status = CheckMemoryLimit();
   }
   memory_.Release(text.size());
   return status;
-}
-
-Status TwigMachine::ProcessTextNode(std::string_view text, int depth,
-                                    uint64_t seq) {
-  ++stats_.text_events;
-  if (text_nodes_.empty()) return Status::OK();
-  for (int id : text_nodes_) {
-    MachineNode& node = nodes_[id];
-    const QueryNode* q = node.query;
-    uint64_t match_mask = full_mask_;
-    if (param_slot_of_node_[id] >= 0) {
-      match_mask = ParamMatchMask(q, text);
-      if (match_mask == 0) continue;
-    }
-    if (node.parent_id < 0) {
-      // A bare text query. `//text()` matches every text node in the
-      // document; `/text()` asks for text children of the document node,
-      // which are not well-formed XML.
-      if (q->is_output && q->axis == Axis::kDescendant) {
-        DeliverResult(text, seq, match_mask);
-      }
-      continue;
-    }
-    MachineNode& parent = nodes_[node.parent_id];
-    TouchStack(parent);
-    if (parent.stack_size == 0) continue;
-    bool is_output = q->is_output;
-    int parent_slot =
-        parametric_[id] ? parent.pchild_slot[q->index_in_parent] : -1;
-    CandidateId cand = 0;
-    if (is_output) {
-      cand = candidates_.Create(text, seq);
-    }
-    // Targets: child axis — the enclosing element's entry (level == depth);
-    // descendant axis — every open entry (all are strict ancestors of the
-    // text node).
-    auto deliver = [&](StackEntry& target) {
-      if (parent_slot >= 0) {
-        target.pmasks[parent_slot] |= match_mask;
-      } else {
-        target.child_bits |= 1ull << q->index_in_parent;
-      }
-      ++stats_.bit_propagations;
-      if (is_output) {
-        target.candidates.push_back(CandidateRef{cand, match_mask});
-        candidates_.Ref(cand);
-        ++stats_.candidate_transfers;
-        memory_.Add(sizeof(CandidateRef));
-      }
-    };
-    StackEntry* st = parent.stack.data();
-    const size_t n = parent.stack_size;
-    if (q->axis == Axis::kChild) {
-      if (st[n - 1].level == depth) deliver(st[n - 1]);
-    } else {
-      for (size_t ei = 0; ei < n; ++ei) {
-        if (st[ei].level > depth) break;
-        deliver(st[ei]);
-      }
-    }
-    if (is_output) candidates_.Unref(cand);
-  }
-  return CheckMemoryLimit();
 }
 
 Status TwigMachine::EndElement(std::string_view name, int depth) {
@@ -627,7 +555,15 @@ Status TwigMachine::EndElement(std::string_view name, int depth) {
       entry.candidates.push_back(CandidateRef{cand, ~0ull});
       memory_.Add(sizeof(CandidateRef));
     }
-    PropagateSatisfiedPop(node, entry, sat_mask);
+    if (node.parent_id < 0) {
+      // Machine root: candidates are proven query solutions (for the
+      // groups that survive their accumulated mask).
+      EmitCandidates(entry, sat_mask);
+    } else {
+      Propagate(node, entry.level, sat_mask, entry.candidates.data(),
+                entry.candidates.size());
+      DropCandidates(entry);
+    }
   }
   // A recording completed for an output entry that popped unsatisfied is
   // discarded here.
@@ -638,36 +574,30 @@ Status TwigMachine::EndElement(std::string_view name, int depth) {
   return CheckMemoryLimit();
 }
 
-void TwigMachine::PropagateSatisfiedPop(MachineNode& node, StackEntry& entry,
-                                        uint64_t sat_mask) {
-  if (node.parent_id < 0) {
-    // Machine root: candidates are proven query solutions (for the groups
-    // that survive their accumulated mask).
-    EmitCandidates(entry, sat_mask);
-    return;
-  }
+void TwigMachine::Propagate(const MachineNode& node, int level,
+                            uint64_t mask, const CandidateRef* refs,
+                            size_t ref_count) {
   const QueryNode* q = node.query;
   int parent_slot =
       parametric_[q->id]
           ? nodes_[node.parent_id].pchild_slot[q->index_in_parent]
           : -1;
-  ForEachPropagationTarget(node, entry.level, [&](StackEntry& target) {
+  ForEachPropagationTarget(node, level, [&](StackEntry& target) {
     if (parent_slot >= 0) {
-      target.pmasks[parent_slot] |= sat_mask;
+      target.pmasks[parent_slot] |= mask;
     } else {
       target.child_bits |= 1ull << q->index_in_parent;
     }
     ++stats_.bit_propagations;
-    for (const CandidateRef& ref : entry.candidates) {
-      uint64_t mask = ref.mask & sat_mask;
-      if (mask == 0) continue;  // no group can still qualify via this path
-      target.candidates.push_back(CandidateRef{ref.id, mask});
-      candidates_.Ref(ref.id);
+    for (size_t i = 0; i < ref_count; ++i) {
+      uint64_t ref_mask = refs[i].mask & mask;
+      if (ref_mask == 0) continue;  // no group can still qualify this way
+      target.candidates.push_back(CandidateRef{refs[i].id, ref_mask});
+      candidates_.Ref(refs[i].id);
       ++stats_.candidate_transfers;
       memory_.Add(sizeof(CandidateRef));
     }
   });
-  DropCandidates(entry);
 }
 
 void TwigMachine::EmitCandidates(StackEntry& entry, uint64_t sat_mask) {

@@ -19,6 +19,11 @@
 //   candidate references.
 // * a satisfied pop at the machine root proves its candidates are query
 //   solutions; they are emitted immediately (lazy, incremental output).
+// * a text or attribute leaf matches as an instant push-pop (MatchLeaf):
+//   once the axis check finds a parent entry to record into, its value
+//   test runs and the match is bookkept exactly like a satisfied pop. A
+//   text node inside the element at depth d sits at level d+1; an
+//   attribute at its owner element's level.
 //
 // The stacks encode the worst-case-exponential set of pattern matches in
 // polynomial space: an XML node with k open ancestor matches per query node
@@ -56,9 +61,9 @@ namespace vitex::twigm {
 struct PlanBindings {
   size_t group_count = 0;
   size_t slot_count = 0;
-  std::vector<xpath::ValueParam> params;
+  std::vector<xpath::Literal> params;
 
-  const xpath::ValueParam& param(size_t group, size_t slot) const {
+  const xpath::Literal& param(size_t group, size_t slot) const {
     return params[group * slot_count + slot];
   }
 };
@@ -125,6 +130,10 @@ struct MachineStats {
   uint64_t bit_propagations = 0;
   uint64_t candidate_transfers = 0;
   uint64_t results_emitted = 0;
+  /// Per-group literal comparisons: each value test of a leaf adds the
+  /// plan's group count. A leaf runs its test only once its axis check
+  /// found an open parent entry, so leaves outside any match cost zero.
+  uint64_t param_evaluations = 0;
   /// Peak of the total number of stack entries across all machine nodes —
   /// the paper's "compact encoding" size (compare with the naive matcher's
   /// pattern-match count, experiment E7).
@@ -257,10 +266,6 @@ class TwigMachine {
     bool start_tag_open = false;
   };
 
-  Status ProcessTextNode(std::string_view text, int depth, uint64_t sequence);
-  Status ProcessAttributes(const xml::StartElementEvent& event,
-                           uint64_t element_seq);
-
   // Lazily invalidates `node`'s pooled stack on its first touch in the
   // current document (versioned memory, DESIGN.md §12). Every stack access
   // on the hot path goes through this.
@@ -272,14 +277,16 @@ class TwigMachine {
   }
 
   // True if an entry of `node` may be pushed at `level` given the parent's
-  // stack state. Non-const: touches the parent stack.
+  // stack state; for a non-root text or attribute leaf, true if its match
+  // at `level` has a parent entry to record into. Non-const: touches the
+  // parent stack.
   bool AxisSatisfiable(const MachineNode& node, int level);
 
   // The element query nodes testing for `symbol`, or nullptr.
   const std::vector<int>* FindElementMatches(Symbol symbol) const;
 
-  // Invokes fn(StackEntry&) on each parent-stack entry the popped/matched
-  // element at `level` must bookkeep into.
+  // Invokes fn(StackEntry&) on each parent-stack entry a satisfied match of
+  // `node` at `level` must bookkeep into.
   template <typename Fn>
   void ForEachPropagationTarget(const MachineNode& node, int level, Fn fn);
 
@@ -289,8 +296,9 @@ class TwigMachine {
                                const MachineNode& node,
                                const StackEntry& entry) const;
   // The groups whose bound literal is matched by `value` on slot node `q`.
+  // Counts the comparisons in stats_.param_evaluations.
   uint64_t ParamMatchMask(const xpath::QueryNode* q,
-                          std::string_view value) const;
+                          const xpath::NodeValue& value);
   // Satisfaction of a popped entry as a group mask: all-or-nothing for
   // uniform nodes, per-group for parametric nodes.
   uint64_t SatisfactionMask(const MachineNode& node, const StackEntry& entry);
@@ -299,10 +307,18 @@ class TwigMachine {
   void DeliverResult(std::string_view fragment, uint64_t sequence,
                      uint64_t group_mask);
 
-  // Handles a satisfied pop (sat_mask != 0): bit/mask + candidate
-  // propagation, or emission at the root.
-  void PropagateSatisfiedPop(MachineNode& node, StackEntry& entry,
-                             uint64_t sat_mask);
+  // A text or attribute leaf `node` matched a node of value `value` and
+  // sequence `seq` at `level`. Checks that the match has somewhere to land
+  // (a parent entry, or the output of a bare `//text()` / `//@a` query)
+  // before the value test runs, then emits or propagates it.
+  void MatchLeaf(MachineNode& node, int level, const xpath::NodeValue& value,
+                 uint64_t seq);
+  // Records a satisfied match of non-root `node` at `level` in the parent's
+  // targets: the child bit, or `mask` in the parametric child's pmasks
+  // slot, plus every candidate of `refs` narrowed to `mask`. The one
+  // propagation step shared by satisfied pops and leaf matches.
+  void Propagate(const MachineNode& node, int level, uint64_t mask,
+                 const CandidateRef* refs, size_t ref_count);
   void EmitCandidates(StackEntry& entry, uint64_t sat_mask);
   void DropCandidates(StackEntry& entry);
 

@@ -32,10 +32,11 @@
 // runs this way: a query whose skeleton no other subscription has is a
 // one-group plan. Structural per-event work (dispatch, pushes, pops,
 // formula evaluation) then scales with the number of distinct skeletons,
-// not subscriptions. What remains per group is one literal comparison each
-// time a value-tested leaf is handed a text node or a name-matching
-// attribute — on every such visit, before the machine checks that the
-// leaf's parent has an open entry, so leaves outside any match pay too.
+// not subscriptions. What remains per group is one literal comparison, for
+// matching leaves only: a value-tested text or attribute leaf compares its
+// groups' literals only once the machine found an open parent entry for the
+// match to land in, and coerces the value to a number at most once for all
+// of them.
 //
 // A union `p1 | p2 | ...` is one subscription whose branches are ordinary
 // plan members: each branch joins (or creates) a plan instance exactly as

@@ -30,7 +30,6 @@ Status EventLog::Replay(ContentHandler* handler) const {
       case Kind::kStart: {
         ev.name = HeapView(e.name_offset, e.name_size);
         ev.depth = e.depth;
-        ev.byte_offset = e.byte_offset;
         ev.symbol = e.symbol;
         ev.sequence = e.sequence;
         ev.attributes.clear();
@@ -64,7 +63,6 @@ Status EventRecorder::StartElement(const StartElementEvent& event) {
   EventLog::Event e;
   e.kind = EventLog::Kind::kStart;
   e.depth = event.depth;
-  e.byte_offset = event.byte_offset;
   e.symbol = event.symbol;
   e.sequence = event.sequence;
   e.name_offset = log_->Intern(event.name);
@@ -88,7 +86,6 @@ Status EventRecorder::EndElement(std::string_view name, int depth) {
   EventLog::Event e;
   e.kind = EventLog::Kind::kEnd;
   e.depth = depth;
-  e.byte_offset = 0;
   e.name_offset = log_->Intern(name);
   e.name_size = static_cast<uint32_t>(name.size());
   e.first_attr = 0;
@@ -101,7 +98,6 @@ Status EventRecorder::Text(const TextEvent& event) {
   EventLog::Event e;
   e.kind = EventLog::Kind::kText;
   e.depth = event.depth;
-  e.byte_offset = 0;
   e.sequence = event.sequence;
   e.name_offset = log_->Intern(event.text);
   e.name_size = static_cast<uint32_t>(event.text.size());

@@ -68,7 +68,6 @@ class EventLog {
     int depth;
     uint32_t name_offset, name_size;  // element name or text content
     uint32_t first_attr, attr_count;
-    uint64_t byte_offset;
     Symbol symbol = kNoSymbol;        // kStart: producer-stamped tag symbol
     uint64_t sequence = kNoSequence;  // kStart/kText: producer stamp
   };

@@ -40,9 +40,6 @@ struct StartElementEvent {
   std::string_view name;
   std::vector<Attribute> attributes;
   int depth = 0;
-  /// Byte offset in the stream of the '<' that opened this tag (diagnostics
-  /// and result-fragment bookkeeping).
-  uint64_t byte_offset = 0;
   /// Interned id of `name`, resolved once per event by the producer when it
   /// holds a SymbolTable; kNoSymbol otherwise. Only meaningful to consumers
   /// sharing that same table.

@@ -419,7 +419,6 @@ Status SaxParser::HandleStartTag(std::string_view body, uint64_t offset) {
   // Attributes.
   StartElementEvent& event = event_scratch_;
   event.name = name;
-  event.byte_offset = offset;
   event.symbol = kNoSymbol;
   event.attributes.clear();
   attr_scratch_.clear();
@@ -537,12 +536,15 @@ Status SaxParser::HandleStartTag(std::string_view body, uint64_t offset) {
 Status SaxParser::HandleEndTag(std::string_view body) {
   // body is the text between '</' and '>', e.g. `a ` (trailing space legal).
   std::string_view name = TrimWhitespace(body);
-  VITEX_RETURN_IF_ERROR(CheckName(name, "element"));
-  if (open_elements_.empty()) {
-    return Status::ParseError("end tag '</" + std::string(name) +
-                              ">' with no open element");
-  }
-  if (open_elements_.back() != name) {
+  if (open_elements_.empty() || open_elements_.back() != name) {
+    // Only a failing end tag needs its name checked: one equal to the open
+    // element's passed CheckName at its start tag. Checking first keeps
+    // the invalid-name message ahead of the structural one.
+    VITEX_RETURN_IF_ERROR(CheckName(name, "element"));
+    if (open_elements_.empty()) {
+      return Status::ParseError("end tag '</" + std::string(name) +
+                                ">' with no open element");
+    }
     return Status::ParseError("mismatched end tag: expected '</" +
                               open_elements_.back() + ">' but found '</" +
                               std::string(name) + ">'");

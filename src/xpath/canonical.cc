@@ -69,12 +69,7 @@ CanonicalQuery Canonicalize(const Query& query) {
   for (const auto& node : query.nodes()) {
     AppendNode(*node, &out.key);
     if (node->value_op != CompareOp::kNone) {
-      ValueParam p;
-      p.literal = node->literal;
-      p.number = node->number;
-      p.literal_is_number = node->literal_is_number;
-      p.literal_numeric = node->literal_numeric;
-      out.params.push_back(std::move(p));
+      out.params.push_back(node->literal);
       out.slot_node_ids.push_back(node->id);
     }
   }

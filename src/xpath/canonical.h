@@ -29,33 +29,6 @@
 
 namespace vitex::xpath {
 
-/// One comparison literal lifted out of the skeleton: the RHS of a value
-/// predicate with its compile-time numeric coercions. The operator is NOT
-/// part of the parameter — it stays in the skeleton, so `[@s = 'A']` and
-/// `[@s != 'A']` never share a plan.
-struct ValueParam {
-  std::string literal;
-  double number = 0.0;
-  bool literal_is_number = false;
-  bool literal_numeric = false;
-
-  /// Applies the slot's skeleton operator `op` against a node value.
-  bool Matches(CompareOp op, std::string_view value) const {
-    return CompareAgainstLiteral(op, literal, number, literal_is_number,
-                                 literal_numeric, value);
-  }
-
-  /// Group identity: two subscribers with equal parameter vectors share one
-  /// evaluation group. `literal_is_number` changes comparison semantics
-  /// (numeric-token vs string-literal equality), so it is part of identity;
-  /// `number`/`literal_numeric` are derived from the other two.
-  bool operator==(const ValueParam& other) const {
-    return literal == other.literal &&
-           literal_is_number == other.literal_is_number;
-  }
-  bool operator!=(const ValueParam& other) const { return !(*this == other); }
-};
-
 /// The canonical form of one compiled query.
 struct CanonicalQuery {
   /// Unambiguous serialization of the skeleton (value literals excluded).
@@ -64,7 +37,7 @@ struct CanonicalQuery {
   /// (no pointers are hashed).
   uint64_t hash = 0;
   /// Comparison literals in slot order (preorder of value-tested nodes).
-  std::vector<ValueParam> params;
+  std::vector<Literal> params;
   /// Query node id carrying each slot (parallel to `params`).
   std::vector<int> slot_node_ids;
 };

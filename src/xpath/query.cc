@@ -88,25 +88,27 @@ std::string Formula::ToString() const {
   return "?";
 }
 
-bool CompareAgainstLiteral(CompareOp op, std::string_view literal,
-                           double number, bool literal_is_number,
-                           bool literal_numeric, std::string_view value) {
+bool NodeValue::Number(double* out) const {
+  if (state_ == kUnparsed) {
+    state_ = ParseXPathNumber(text_, &number_) ? kNumber : kNotNumber;
+  }
+  *out = number_;
+  return state_ == kNumber;
+}
+
+bool Literal::Matches(CompareOp op, const NodeValue& value) const {
+  double v = 0.0;
   switch (op) {
     case CompareOp::kNone:
       return true;
     case CompareOp::kEq:
     case CompareOp::kNe: {
-      bool eq;
-      double v;
-      if (literal_is_number && ParseXPathNumber(value, &v)) {
-        // Numeric equality per XPath 1.0 when both sides coerce (node text
-        // is whitespace-trimmed by ParseXPathNumber, so " 10 " = 10).
-        eq = v == number;
-      } else {
-        // String comparison otherwise — including non-numeric text against
-        // a numeric literal, so = and != stay exact complements.
-        eq = value == literal;
-      }
+      // Numeric equality per XPath 1.0 when both sides coerce (node text
+      // is whitespace-trimmed by ParseXPathNumber, so " 10 " = 10). String
+      // comparison otherwise — including non-numeric text against a
+      // numeric literal, so = and != stay exact complements.
+      bool eq = is_number && value.Number(&v) ? v == number
+                                              : value.text() == text;
       return op == CompareOp::kEq ? eq : !eq;
     }
     case CompareOp::kLt:
@@ -115,9 +117,8 @@ bool CompareAgainstLiteral(CompareOp op, std::string_view literal,
     case CompareOp::kGe: {
       // Relational comparison is numeric; a non-numeric side never
       // satisfies (NaN semantics). The literal side was coerced at compile
-      // time (literal_numeric / number).
-      double v;
-      if (!literal_numeric || !ParseXPathNumber(value, &v)) return false;
+      // time (numeric / number).
+      if (!numeric || !value.Number(&v)) return false;
       switch (op) {
         case CompareOp::kLt:
           return v < number;
@@ -136,8 +137,7 @@ bool CompareAgainstLiteral(CompareOp op, std::string_view literal,
 }
 
 bool QueryNode::CompareValue(std::string_view value) const {
-  return CompareAgainstLiteral(value_op, literal, number, literal_is_number,
-                               literal_numeric, value);
+  return literal.Matches(value_op, NodeValue(value));
 }
 
 /// Builds Query objects from ASTs. Separate class so Query's constructor
@@ -302,15 +302,16 @@ class TwigCompiler {
 
   static void SetValueTest(QueryNode* node, CompareOp op, const PredExpr& e) {
     node->value_op = op;
-    node->literal = e.literal;
-    node->literal_is_number = e.literal_is_number;
-    // Coerce the RHS once, at compile time; CompareValue never re-parses
+    Literal& lit = node->literal;
+    lit.text = e.literal;
+    lit.is_number = e.literal_is_number;
+    // Coerce the RHS once, at compile time; a comparison never re-parses
     // the literal per event.
     if (e.literal_is_number) {
-      node->number = e.number;
-      node->literal_numeric = true;
+      lit.number = e.number;
+      lit.numeric = true;
     } else {
-      node->literal_numeric = ParseXPathNumber(e.literal, &node->number);
+      lit.numeric = ParseXPathNumber(e.literal, &lit.number);
     }
   }
 
@@ -381,7 +382,7 @@ void TwigToStringRec(const QueryNode* node, int indent, std::string* out) {
     out->push_back(' ');
     out->append(CompareOpToString(node->value_op));
     out->append(" '");
-    out->append(node->literal);
+    out->append(node->literal.text);
     out->push_back('\'');
   }
   out->append("  [id=" + std::to_string(node->id));

@@ -53,6 +53,60 @@ struct Formula {
   std::string ToString() const;
 };
 
+/// A text or attribute value under comparison. Its XPath number()
+/// coercion is parsed on first numeric use and kept, so one node value
+/// compared against many literals (every group of a plan) is parsed at most
+/// once.
+class NodeValue {
+ public:
+  explicit NodeValue(std::string_view text) : text_(text) {}
+
+  std::string_view text() const { return text_; }
+  /// number(text): true with `*out` set when the text coerces
+  /// (ParseXPathNumber), false when it does not.
+  bool Number(double* out) const;
+
+ private:
+  enum State : uint8_t { kUnparsed, kNumber, kNotNumber };
+  std::string_view text_;
+  mutable State state_ = kUnparsed;
+  mutable double number_ = 0.0;
+};
+
+/// The right-hand side of a value comparison, coerced once at compile time
+/// (never re-parsed per event). It is also a shared plan's parameter
+/// (canonical.h); the operator is not part of it but stays in the skeleton,
+/// so `[@s = 'A']` and `[@s != 'A']` never share a plan.
+struct Literal {
+  /// The literal's source text.
+  std::string text;
+  /// Numeric value: the lexer's value for a numeric token, or the XPath
+  /// number() coercion of a string literal. Valid iff `numeric`.
+  double number = 0.0;
+  /// Written as a numeric token (`[a = 10]`). Equality against it is
+  /// numeric when the node value coerces to a number, with a string
+  /// fallback otherwise (applied consistently for = and !=).
+  bool is_number = false;
+  /// Coerces to a number (numeric token, or string literal like '10');
+  /// relational comparisons require this and a numeric node value.
+  bool numeric = false;
+
+  /// The one value-comparison kernel: applies `op` between `value` and
+  /// this literal (kNone accepts everything). QueryNode::CompareValue and
+  /// the shared-plan evaluators both call it, so a parameterized plan
+  /// compares exactly like a privately compiled query.
+  bool Matches(CompareOp op, const NodeValue& value) const;
+
+  /// Group identity: two subscribers with equal parameter vectors share one
+  /// evaluation group. `is_number` changes comparison semantics
+  /// (numeric-token vs string-literal equality), so it is part of identity;
+  /// `number`/`numeric` are derived from the other two.
+  bool operator==(const Literal& other) const {
+    return text == other.text && is_number == other.is_number;
+  }
+  bool operator!=(const Literal& other) const { return !(*this == other); }
+};
+
 /// One node of the compiled twig.
 struct QueryNode {
   /// Preorder index, also the machine-node index in TwigM.
@@ -67,18 +121,7 @@ struct QueryNode {
 
   /// Value comparison, only on text and attribute nodes (kNone otherwise).
   CompareOp value_op = CompareOp::kNone;
-  std::string literal;
-  /// Numeric value of the RHS, resolved ONCE at compile time (never
-  /// re-parsed per event): the lexer's value for a numeric token, or the
-  /// XPath number() coercion of a string literal. Valid iff literal_numeric.
-  double number = 0.0;
-  /// The RHS was written as a numeric token (`[a = 10]`). Equality against
-  /// it is numeric when the node value coerces to a number, with a string
-  /// fallback otherwise (applied consistently for = and !=).
-  bool literal_is_number = false;
-  /// The RHS coerces to a number (numeric token, or string literal like
-  /// '10'); relational comparisons require this and a numeric node value.
-  bool literal_numeric = false;
+  Literal literal;
 
   /// True for the single node whose matches are the query solutions.
   bool is_output = false;
@@ -155,15 +198,6 @@ Result<Query> ParseAndCompile(std::string_view query_text);
 /// branch. A plain path compiles exactly as ParseAndCompile does, source
 /// text included; union branches carry their re-rendered path text.
 Result<std::vector<Query>> ParseAndCompileUnion(std::string_view query_text);
-
-/// The value-comparison kernel shared by QueryNode::CompareValue and the
-/// shared-plan parameter evaluators (canonical.h): applies `op` between a
-/// node value and a literal whose numeric coercions were resolved once at
-/// compile time. Keeping one definition guarantees a parameterized plan
-/// compares exactly like a privately compiled query.
-bool CompareAgainstLiteral(CompareOp op, std::string_view literal,
-                           double number, bool literal_is_number,
-                           bool literal_numeric, std::string_view value);
 
 }  // namespace vitex::xpath
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/interner.h"
@@ -183,6 +184,34 @@ TEST(MachineBasicTest, StatsCountEvents) {
   EXPECT_EQ(stats.text_events, 1u);
   EXPECT_EQ(stats.pushes, 2u);  // two b entries
   EXPECT_EQ(stats.results_emitted, 2u);
+}
+
+// A leaf runs its value test only after its axis check found a parent entry
+// to record the match in, and each test compares one literal per group.
+// Every skeleton here is one plan of three groups (N = 1, 2, 3).
+TEST(MachineBasicTest, ParamEvaluationsOnlyWhereMatchCanLand) {
+  auto evaluations = [](std::string skeleton, std::string_view doc) {
+    MultiQueryEngine engine;
+    VectorResultCollector results;
+    QueryId id = 0;
+    const size_t n_at = skeleton.find('N');
+    for (char n : {'1', '2', '3'}) {
+      skeleton[n_at] = n;
+      auto added = engine.AddQuery(skeleton, &results);
+      EXPECT_TRUE(added.ok()) << added.status();
+      id = added.value();
+    }
+    EXPECT_TRUE(engine.RunString(doc).ok());
+    EXPECT_EQ(engine.dispatch_stats().machines, 1u) << skeleton;
+    return engine.machine(id).stats().param_evaluations;
+  };
+  // The 7 under x/b has no open b entry (b is a's child), so it costs
+  // nothing; the 7 under a/b is compared against all three groups.
+  EXPECT_EQ(evaluations("//a[b > N]/c", "<a><x><b>7</b></x><b>7</b><c/></a>"),
+            3u);
+  // This b is not a child of a, so @k has no b entry to record into.
+  EXPECT_EQ(evaluations("//a/b[@k = 'N']", "<a><x><b k=\"1\"/></x></a>"), 0u);
+  EXPECT_EQ(evaluations("//a/b[@k = 'N']", "<a><b k=\"1\"/></a>"), 3u);
 }
 
 TEST(MachineBasicTest, ReuseAcrossDocuments) {

@@ -175,6 +175,22 @@ TEST(SaxParserErrorTest, MismatchedEndTag) {
   Status s = ParseStatus("<a><b></a></b>");
   EXPECT_TRUE(s.IsParseError());
   EXPECT_NE(s.message().find("mismatched"), std::string::npos) << s;
+  // An end tag's name is validated only when it differs from the open
+  // element's; every failing end tag keeps its own message.
+  const struct {
+    const char* doc;
+    const char* message;
+  } cases[] = {
+      {"<a></1b>", "invalid element name '1b'"},
+      {"<a></ >", "empty element name"},
+      {"<a></b>", "mismatched end tag: expected '</a>' but found '</b>'"},
+      {"<a/></a>", "end tag '</a>' with no open element"},
+  };
+  for (const auto& c : cases) {
+    Status e = ParseStatus(c.doc);
+    EXPECT_TRUE(e.IsParseError()) << c.doc;
+    EXPECT_EQ(e.message(), c.message) << c.doc;
+  }
 }
 
 TEST(SaxParserErrorTest, UnclosedElement) {

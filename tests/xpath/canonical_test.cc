@@ -93,11 +93,11 @@ TEST(CanonicalTest, StructuralDifferencesChangeKey) {
 TEST(CanonicalTest, ParamsInPreorderSlotOrder) {
   CanonicalQuery c = CanonOf("//a[@x = 'first'][y > 2]/b[. = 'third']");
   ASSERT_EQ(c.params.size(), 3u);
-  EXPECT_EQ(c.params[0].literal, "first");
-  EXPECT_EQ(c.params[1].literal, "2");
-  EXPECT_TRUE(c.params[1].literal_is_number);
-  EXPECT_TRUE(c.params[1].literal_numeric);
-  EXPECT_EQ(c.params[2].literal, "third");
+  EXPECT_EQ(c.params[0].text, "first");
+  EXPECT_EQ(c.params[1].text, "2");
+  EXPECT_TRUE(c.params[1].is_number);
+  EXPECT_TRUE(c.params[1].numeric);
+  EXPECT_EQ(c.params[2].text, "third");
   // Slot node ids are preorder positions inside the twig: strictly
   // increasing.
   ASSERT_EQ(c.slot_node_ids.size(), 3u);

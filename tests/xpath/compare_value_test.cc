@@ -1,8 +1,9 @@
 // Table-driven tests for QueryNode::CompareValue — the single value-
 // comparison routine every route shares (TwigM, the multi-query dispatcher,
-// the DOM oracle, the naive matcher). The satellite fix this pins:
+// the DOM oracle, the naive matcher), through xpath::Literal::Matches. The
+// satellite fix this pins:
 //   * the RHS literal is coerced once at compile time, never re-parsed per
-//     event (literal_numeric / number on QueryNode);
+//     event (numeric / number on QueryNode::literal);
 //   * node text is whitespace-trimmed per XPath number() before numeric
 //     coercion (" 10 " = 10 holds);
 //   * whitespace-only and empty text is NOT numeric (the old strtod-based
@@ -14,6 +15,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "xpath/query.h"
@@ -40,6 +42,30 @@ struct Case {
   const char* value;
   bool want;
 };
+
+// A shared-plan leaf wraps a node value in one NodeValue and compares it
+// against every group's literal in turn; its number() is parsed on first
+// numeric use and then reused. For each of these values, one NodeValue run
+// through every literal of `cases` must give each the verdict a fresh
+// NodeValue gives.
+template <size_t N>
+void ExpectOneValueServesEveryLiteral(const Case (&cases)[N]) {
+  std::vector<std::optional<Query>> storage(N);
+  std::vector<const QueryNode*> nodes;
+  for (size_t i = 0; i < N; ++i) {
+    nodes.push_back(CompileValueTest(cases[i].predicate, &storage[i]));
+    ASSERT_NE(nodes.back(), nullptr);
+  }
+  for (const char* value : {" 10 ", "10.0", "1e1", "abc", "", "   "}) {
+    NodeValue shared(value);
+    for (size_t i = 0; i < N; ++i) {
+      const QueryNode* node = nodes[i];
+      EXPECT_EQ(node->literal.Matches(node->value_op, shared),
+                node->literal.Matches(node->value_op, NodeValue(value)))
+          << "[" << cases[i].predicate << "] on \"" << value << "\"";
+    }
+  }
+}
 
 TEST(CompareValueTest, NumericLiteralTable) {
   const Case cases[] = {
@@ -70,6 +96,8 @@ TEST(CompareValueTest, NumericLiteralTable) {
       {"text() <= 10", "10", true},
       {"text() > 10", "1e2", true},
       {"text() >= 10", "9.999", false},
+      // The same spelling as a string literal compares as a string.
+      {"text() = '10'", "1e1", false},
   };
   for (const Case& c : cases) {
     std::optional<Query> storage;
@@ -78,6 +106,7 @@ TEST(CompareValueTest, NumericLiteralTable) {
     EXPECT_EQ(node->CompareValue(c.value), c.want)
         << "[" << c.predicate << "] on \"" << c.value << "\"";
   }
+  ExpectOneValueServesEveryLiteral(cases);
 }
 
 TEST(CompareValueTest, StringLiteralTable) {
@@ -103,25 +132,26 @@ TEST(CompareValueTest, StringLiteralTable) {
     EXPECT_EQ(node->CompareValue(c.value), c.want)
         << "[" << c.predicate << "] on \"" << c.value << "\"";
   }
+  ExpectOneValueServesEveryLiteral(cases);
 }
 
 TEST(CompareValueTest, LiteralCoercedOnceAtCompileTime) {
   std::optional<Query> storage;
   const QueryNode* node = CompileValueTest("text() = 10", &storage);
   ASSERT_NE(node, nullptr);
-  EXPECT_TRUE(node->literal_is_number);
-  EXPECT_TRUE(node->literal_numeric);
-  EXPECT_DOUBLE_EQ(node->number, 10.0);
+  EXPECT_TRUE(node->literal.is_number);
+  EXPECT_TRUE(node->literal.numeric);
+  EXPECT_DOUBLE_EQ(node->literal.number, 10.0);
 
   const QueryNode* str = CompileValueTest("text() < '2.5'", &storage);
   ASSERT_NE(str, nullptr);
-  EXPECT_FALSE(str->literal_is_number);
-  EXPECT_TRUE(str->literal_numeric);
-  EXPECT_DOUBLE_EQ(str->number, 2.5);
+  EXPECT_FALSE(str->literal.is_number);
+  EXPECT_TRUE(str->literal.numeric);
+  EXPECT_DOUBLE_EQ(str->literal.number, 2.5);
 
   const QueryNode* nonnum = CompileValueTest("text() < 'abc'", &storage);
   ASSERT_NE(nonnum, nullptr);
-  EXPECT_FALSE(nonnum->literal_numeric);
+  EXPECT_FALSE(nonnum->literal.numeric);
 }
 
 TEST(ParseXPathNumberTest, CoercionRules) {

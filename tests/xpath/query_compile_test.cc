@@ -138,7 +138,7 @@ TEST(CompileTest, ValueComparisonOnElementDesugarsToText) {
   const QueryNode* text = b->children[0];
   EXPECT_TRUE(text->IsTextNode());
   EXPECT_EQ(text->value_op, CompareOp::kEq);
-  EXPECT_EQ(text->literal, "x");
+  EXPECT_EQ(text->literal.text, "x");
   // b requires its text child.
   EXPECT_EQ(b->formula.kind, Formula::Kind::kAtom);
 }
@@ -160,8 +160,8 @@ TEST(CompileTest, AttributeComparisonStaysOnAttribute) {
 TEST(CompileTest, NumericLiteralMarked) {
   Query q = MustCompile("//a[b >= 3.5]");
   const QueryNode* text = q.root()->children[0]->children[0];
-  EXPECT_TRUE(text->literal_is_number);
-  EXPECT_DOUBLE_EQ(text->number, 3.5);
+  EXPECT_TRUE(text->literal.is_number);
+  EXPECT_DOUBLE_EQ(text->literal.number, 3.5);
 }
 
 TEST(CompileTest, OrFormulaShape) {
